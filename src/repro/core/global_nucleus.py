@@ -51,13 +51,14 @@ from repro.sampling.adaptive import (
     resolve_adaptive_settings,
 )
 from repro.sampling.monte_carlo import hoeffding_sample_size
-from repro.sampling.partitioned import partitioned_global_counts
+from repro.sampling.partitioned import partitioned_global_decision
 from repro.sampling.sharding import _require_positive_int
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
     WorldShardPool,
     as_numpy_generator,
-    global_triangle_counts,
+    count_needed,
+    decide_global_counts,
 )
 
 __all__ = ["global_nucleus_decomposition", "candidate_closure", "union_of_nuclei"]
@@ -184,21 +185,35 @@ def candidate_closure(
     if not chosen:
         return chosen
 
+    # Coverage is kept incrementally.  It only grows, so a triangle is
+    # deficient at a round start only if it was deficient when first seen —
+    # and once expanded, all its cliques are chosen.  Each round therefore
+    # needs to look only at the triangles first covered in the round before.
+    coverage: dict[Triangle, int] = {}
+    fresh: list[Triangle] = []
+
+    def cover(clique: FourClique) -> None:
+        for triangle in triangles_of_clique(clique):
+            count = coverage.get(triangle, 0)
+            if count == 0:
+                fresh.append(triangle)
+            coverage[triangle] = count + 1
+
+    for clique in chosen:
+        cover(clique)
     rounds = 0
     while True:
         rounds += 1
         if max_rounds is not None and rounds > max_rounds:
             break
-        coverage: dict[Triangle, int] = {}
-        for clique in chosen:
-            for triangle in triangles_of_clique(clique):
-                coverage[triangle] = coverage.get(triangle, 0) + 1
-        deficient = [t for t, c in coverage.items() if c < k]
+        deficient = [t for t in fresh if coverage[t] < k]
+        fresh = []
         added = False
         for triangle in deficient:
             for clique in by_triangle.get(triangle, ()):
                 if clique not in chosen:
                     chosen.add(clique)
+                    cover(clique)
                     added = True
         if not added:
             break
@@ -259,11 +274,14 @@ def _verify_candidate_matrix(
     """World-matrix Monte-Carlo verification: all worlds in one batch.
 
     Samples the candidate's ``(n_samples, n_edges)`` boolean world matrix
-    with a single RNG call and thresholds the batched per-triangle counts of
-    :func:`repro.sampling.world_matrix.global_triangle_counts`.  With
+    with a single RNG call and thresholds the per-triangle counts through
+    :func:`repro.sampling.world_matrix.decide_global_counts`, which rejects
+    as soon as an exact upper bound puts some triangle below ``θ·n``.
+    Sampling comes first, so the RNG stream — and with it every later
+    candidate's worlds — is the same whether or not a bound fires.  With
     ``partitions > 1`` the matrix is never materialized: the candidate's
     edge range is sampled one partition block at a time
-    (:func:`repro.sampling.partitioned.partitioned_global_counts`), bounding
+    (:func:`repro.sampling.partitioned.partitioned_global_decision`), bounding
     peak memory by a single block.
     """
     index = CandidateWorldIndex.from_graph(subgraph)
@@ -271,15 +289,22 @@ def _verify_candidate_matrix(
     if not triangles:
         return False, triangles
 
+    # The fewest nucleus-worlds that pass ``count / n_samples >= theta``,
+    # found with that very float test.  ``count / n_samples`` grows with the
+    # count, so every count from ``need`` on passes: "not rejected" is the
+    # exact θ decision.
+    need = count_needed(np.arange(n_samples + 1) / n_samples >= theta)
     if partitions > 1:
-        counts = partitioned_global_counts(
-            index, n_samples, k, rng=rng, partitions=partitions, pool=pool, kernel=kernel
+        _, rejected = partitioned_global_decision(
+            index, n_samples, k, need,
+            rng=rng, partitions=partitions, pool=pool, kernel=kernel, exact_counts=False,
         )
     else:
         worlds = index.sample(n_samples, rng=rng)
-        counts = global_triangle_counts(index, worlds, k, pool=pool, kernel=kernel)
-    passes = bool(np.all(counts / n_samples >= theta))
-    return passes, triangles
+        _, rejected = decide_global_counts(
+            index, worlds, k, need, pool=pool, kernel=kernel, exact_counts=False
+        )
+    return not rejected, triangles
 
 
 def _verify_candidate_adaptive(

@@ -2,7 +2,7 @@
 
 The numpy verification path materializes dense ``(num_cliques, num_edges)``
 and ``(num_cliques, num_triangles)`` incidence matrices and checks the
-nucleus predicates by integer matmul — fast for small candidates, but the
+nucleus predicates by matmul — fast for small candidates, but the
 densification dominates memory and time once candidates grow.  These kernels
 evaluate the same predicates world-by-world over the flat index arrays, with
 no incidence matrices and no intermediate ``(n_worlds, …)`` products:

@@ -64,18 +64,31 @@ MAX_CHILDREN = 1024
 
 
 class InMemorySink:
-    """Ring buffer of the most recent finished traces (the default sink)."""
+    """Ring buffer of the most recent finished traces (the default sink).
+
+    Traces pushed out of the buffer are counted in ``dropped`` and in the
+    ``repro_obs_traces_dropped_total`` counter, so a reader can tell a
+    complete buffer from the tail of a longer run.
+    """
 
     def __init__(self, maxlen: int = 256) -> None:
         self.maxlen = maxlen
+        self.dropped = 0
         self._traces: list[dict] = []
         self._lock = threading.Lock()
 
     def emit(self, trace: dict) -> None:
         with self._lock:
             self._traces.append(trace)
-            if len(self._traces) > self.maxlen:
-                del self._traces[: len(self._traces) - self.maxlen]
+            overflow = len(self._traces) - self.maxlen
+            if overflow > 0:
+                del self._traces[:overflow]
+                self.dropped += overflow
+        if overflow > 0:
+            REGISTRY.counter(
+                "repro_obs_traces_dropped_total",
+                "Finished traces pushed out of a full in-memory trace sink.",
+            ).inc(overflow)
 
     def traces(self) -> list[dict]:
         """The buffered traces, oldest first (a copy)."""

@@ -13,7 +13,7 @@ This module turns the world-matrix engine of
 1. worlds are drawn in **geometric chunks** (:func:`chunk_schedule`, default
    16 → 32 → 64 → … capped at ``n_worlds_max``) through the existing
    :meth:`~repro.sampling.world_matrix.CandidateWorldIndex.sample` /
-   :func:`~repro.sampling.world_matrix.global_triangle_counts` /
+   :func:`~repro.sampling.world_matrix.decide_global_counts` /
    :func:`~repro.sampling.world_matrix.weak_membership_counts` machinery —
    each chunk optionally sharded across a
    :class:`~repro.sampling.world_matrix.WorldShardPool` exactly like a fixed
@@ -67,7 +67,8 @@ from repro.sampling.world_matrix import (
     CandidateWorldIndex,
     WorldShardPool,
     as_numpy_generator,
-    global_triangle_counts,
+    count_needed,
+    decide_global_counts,
     weak_membership_counts,
 )
 
@@ -297,35 +298,73 @@ def adaptive_global_verify(
     triangle's lower bound reaches θ.  At the ``n_worlds_max`` cap the point
     estimates decide, mirroring the fixed path.
 
+    Each chunk's counts go through
+    :func:`~repro.sampling.world_matrix.decide_global_counts`, whose exact
+    count bounds may reject before every count is known — but only where
+    the outcome is already certain (see :func:`_chunk_need`), so decisions,
+    stages and worlds drawn are those of exact counting.
+
     Returns ``(passes, outcome)``.
     """
     if index.num_triangles == 0:
         return False, AdaptiveOutcome(worlds=0, chunks=0, early_stop=True)
     generator = as_numpy_generator(rng, seed)
     counts = np.zeros(index.num_triangles, dtype=np.int64)
+    schedule = settings.schedule()
     drawn = 0
-    stage = 0
-    decided: bool | None = None
-    for stage, chunk in enumerate(settings.schedule(), start=1):
+    for stage, chunk in enumerate(schedule, start=1):
         worlds = index.sample(chunk, rng=generator)
-        counts += global_triangle_counts(index, worlds, k, pool=pool, kernel=kernel)
         drawn += chunk
+        step_delta = stage_delta(settings.delta, stage)
+        last = stage == len(schedule)
+        need, early = _chunk_need(counts, chunk, drawn, theta, step_delta, last)
+        chunk_counts, rejected = decide_global_counts(
+            index, worlds, k, need, pool=pool, kernel=kernel
+        )
+        if rejected:
+            passes = False
+            break
+        counts += chunk_counts
         means = counts / drawn
-        radius = decision_radius(drawn, means, stage_delta(settings.delta, stage))
+        radius = decision_radius(drawn, means, step_delta)
         if bool(np.any(means + radius < theta)):
-            decided = False
+            passes, early = False, True
             break
         if bool(np.all(means - radius >= theta)):
-            decided = True
+            passes, early = True, True
             break
-    if decided is None:
-        passes = bool(np.all(counts / drawn >= theta))
-        outcome = AdaptiveOutcome(worlds=drawn, chunks=stage, early_stop=False)
     else:
-        passes = decided
-        outcome = AdaptiveOutcome(worlds=drawn, chunks=stage, early_stop=True)
+        passes = bool(np.all(counts / drawn >= theta))
+        early = False
+    outcome = AdaptiveOutcome(worlds=drawn, chunks=stage, early_stop=early)
     _record_outcome("global", outcome)
     return passes, outcome
+
+
+def _chunk_need(
+    counts: np.ndarray, chunk: int, drawn: int, theta: float, step_delta: float, last: bool
+) -> tuple[np.ndarray, bool]:
+    """The per-triangle chunk counts below which this chunk's outcome is a sure reject.
+
+    Tabulates the chunk's radius test for every cumulative count
+    ``0 … drawn`` with the float operations the exact check applies to the
+    real counts, so a triangle whose count can only land on rejecting
+    entries — ``counts + chunk_count`` below the returned need — rejects
+    exactly as the exact check would, with ``early_stop=True``.  On the last
+    chunk, if no count within reach can meet the radius test's reject, the
+    point estimate ``mean >= θ`` is the test instead (``early_stop=False``).
+
+    Returns ``(need, early_stop_if_rejected)``.
+    """
+    means = np.arange(drawn + 1) / drawn
+    rejecting = means + decision_radius(drawn, means, step_delta) < theta
+    if last:
+        # count_needed over the complement gives the distance to the first
+        # rejecting count: past the chunk for every triangle means the radius
+        # test cannot reject, whatever the chunk's counts are.
+        if bool(np.all(count_needed(rejecting, counts) > chunk)):
+            return count_needed(means >= theta, counts), False
+    return count_needed(~rejecting, counts), True
 
 
 def adaptive_weak_scores(

@@ -40,12 +40,16 @@ from repro.obs.metrics import REGISTRY as obs_registry
 from repro.sampling.sharding import _require_positive_int
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
-    _connected_through_cliques,
+    _bounded_counts,
     _weak_counts_from_presence,
     as_numpy_generator,
 )
 
-__all__ = ["partitioned_global_counts", "partitioned_weak_counts"]
+__all__ = [
+    "partitioned_global_counts",
+    "partitioned_global_decision",
+    "partitioned_weak_counts",
+]
 
 
 def _root_seed(rng, seed) -> int:
@@ -185,50 +189,77 @@ def partitioned_global_counts(
     the global coverage/connectivity stage always runs the vectorized numpy
     path — there is no worlds matrix for the per-world kernel to walk.
     """
+    counts, _ = partitioned_global_decision(
+        index,
+        n_worlds,
+        k,
+        0,
+        rng=rng,
+        seed=seed,
+        partitions=partitions,
+        pool=pool,
+        kernel=kernel,
+    )
+    return counts
+
+
+def partitioned_global_decision(
+    index: CandidateWorldIndex,
+    n_worlds: int,
+    k: int,
+    need,
+    rng=None,
+    seed: int | None = None,
+    partitions: int = 2,
+    pool=None,
+    kernel: str = "numpy",
+    exact_counts: bool = True,
+) -> tuple[np.ndarray, bool]:
+    """The θ decision of :func:`partitioned_global_counts` (``(counts, rejected)``).
+
+    Runs the bound stages of
+    :func:`repro.sampling.world_matrix.decide_global_counts` (including its
+    ``exact_counts`` switch) over the partitioned presence matrices: a
+    candidate the presence bound rejects never pays for the second
+    (edge-coverage) pass over the blocks.  The root seed is drawn first
+    either way, so the caller's RNG stream does not depend on the decision.
+    """
     resolve_kernel(kernel)
     ranges, root_seed = _resolve_partition_run(index, n_worlds, k, rng, seed, partitions)
-    counts = np.zeros(index.num_triangles, dtype=np.int64)
     if index.num_triangles == 0 or index.num_cliques == 0 or not ranges:
-        return counts
+        counts = np.zeros(index.num_triangles, dtype=np.int64)
+        return counts, bool((counts < need).any())
     record_dispatch("verify.global.partitioned", "numpy")
     tri_present, clique_present = _partitioned_presence(
         index, n_worlds, ranges, root_seed, pool
     )
-    mask = clique_present.any(axis=1)
-    if not mask.any():
-        return counts
 
-    # Condition 1: present edges covered by present cliques (second pass over
-    # the same replayable blocks).
-    payloads = [
-        (index, n_worlds, start, stop, root_seed, p, clique_present)
-        for p, (start, stop) in enumerate(ranges)
-    ]
-    for bad in _map_payloads(pool, _coverage_shard, payloads):
-        mask &= ~bad
+    def filters() -> np.ndarray:
+        mask = clique_present.any(axis=1)
+        if not mask.any():
+            return mask
+        # Condition 1: present edges covered by present cliques (second pass
+        # over the same replayable blocks).
+        payloads = [
+            (index, n_worlds, start, stop, root_seed, p, clique_present)
+            for p, (start, stop) in enumerate(ranges)
+        ]
+        for bad in _map_payloads(pool, _coverage_shard, payloads):
+            mask &= ~bad
+        # Condition 2: structural triangles supported by >= k present
+        # cliques.  Scatter-add over the (candidate-sized) clique membership
+        # lists instead of the dense clique/triangle incidence matmul.
+        support_t = np.zeros((index.num_triangles, n_worlds), dtype=np.int64)
+        clique_counts_t = clique_present.T.astype(np.int64)
+        for slot in range(4):
+            np.add.at(support_t, index.clique_triangles[:, slot], clique_counts_t)
+        support = support_t.T
+        mask &= ~((support >= 1) & (support < k)).any(axis=1)
+        return mask
 
-    # Condition 2: structural triangles supported by >= k present cliques.
-    # Scatter-add over the (candidate-sized) clique membership lists instead
-    # of the dense clique/triangle incidence matmul.
-    support_t = np.zeros((index.num_triangles, n_worlds), dtype=np.int64)
-    clique_counts_t = clique_present.T.astype(np.int64)
-    for slot in range(4):
-        np.add.at(support_t, index.clique_triangles[:, slot], clique_counts_t)
-    support = support_t.T
-    mask &= ~((support >= 1) & (support < k)).any(axis=1)
-
-    # Condition 3: 4-clique connectivity, deduplicated by presence pattern.
-    survivors = np.flatnonzero(mask)
-    if survivors.size:
-        patterns, inverse = np.unique(clique_present[survivors], axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).ravel()
-        connected = np.array(
-            [_connected_through_cliques(index, pattern) for pattern in patterns],
-            dtype=bool,
-        )
-        mask[survivors[~connected[inverse]]] = False
-    counts += tri_present[mask].sum(axis=0, dtype=np.int64)
-    return counts
+    return _bounded_counts(
+        index, tri_present, clique_present, filters, need, exact_counts=exact_counts
+    )
 
 
 def partitioned_weak_counts(

@@ -18,11 +18,16 @@ This module replaces that with an array-backed pipeline:
 3. :func:`structure_presence`, :func:`nucleus_world_mask` and
    :func:`weak_membership_counts` evaluate the per-world structural
    predicates batch-wise: triangle/4-clique containment is a fancy-indexed
-   ``all`` over edge columns, edge-coverage and 4-clique support are integer
-   matmuls against the precompiled incidence matrices, and only the final
+   ``all`` over edge columns, edge-coverage and 4-clique support are float64
+   BLAS matmuls against the precompiled 0/1 incidence matrices (exact: every
+   product is an integer far below 2**53), and only the final
    4-clique-connectivity check (global model) or nucleusness peel (weak
    model) runs per world — on tiny pre-indexed integer structures, and only
    for the worlds that survive the vectorized filters.
+4. :func:`decide_global_counts` answers Algorithm 2's actual question — does
+   every triangle reach a required count? — and stops as soon as an exact
+   upper bound settles it (see :func:`_bounded_counts`), so the costly
+   connectivity checks run only while the decision is still open.
 
 The per-world semantics are *identical* to the dict path — for any boolean
 row ``worlds[i]``, :func:`nucleus_world_mask` agrees with
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -79,6 +85,8 @@ __all__ = [
     "structure_presence",
     "nucleus_world_mask",
     "global_triangle_counts",
+    "decide_global_counts",
+    "count_needed",
     "weak_membership_counts",
     "world_from_row",
 ]
@@ -134,6 +142,14 @@ def sample_world_matrix(
     return worlds
 
 
+def _incidence(members: np.ndarray, width: int) -> np.ndarray:
+    """0/1 float64 matrix with a one at ``(row, members[row, j])`` for every ``j``."""
+    incidence = np.zeros((members.shape[0], width), dtype=np.float64)
+    if members.shape[0]:
+        incidence[np.arange(members.shape[0])[:, None], members] = 1.0
+    return incidence
+
+
 @dataclass
 class CandidateWorldIndex:
     """Flat-array index of a candidate subgraph for batched world verification.
@@ -176,24 +192,21 @@ class CandidateWorldIndex:
 
     @property
     def clique_edge_incidence(self) -> np.ndarray:
-        """``(num_cliques, num_edges)`` 0/1 matrix: which edges each clique uses."""
+        """``(num_cliques, num_edges)`` 0/1 matrix: which edges each clique uses.
+
+        float64, so products with it run on BLAS (numpy's integer matmul has
+        no BLAS path); the counts they produce are small integers, exact in
+        float64.
+        """
         if self._clique_edge_incidence is None:
-            incidence = np.zeros((self.num_cliques, self.num_edges), dtype=np.int64)
-            if self.num_cliques:
-                rows = np.arange(self.num_cliques, dtype=np.int64)[:, None]
-                incidence[rows, self.clique_edges] = 1
-            self._clique_edge_incidence = incidence
+            self._clique_edge_incidence = _incidence(self.clique_edges, self.num_edges)
         return self._clique_edge_incidence
 
     @property
     def clique_tri_incidence(self) -> np.ndarray:
-        """``(num_cliques, num_triangles)`` 0/1 matrix: the four member triangles."""
+        """``(num_cliques, num_triangles)`` 0/1 float64 matrix: the four member triangles."""
         if self._clique_tri_incidence is None:
-            incidence = np.zeros((self.num_cliques, self.num_triangles), dtype=np.int64)
-            if self.num_cliques:
-                rows = np.arange(self.num_cliques, dtype=np.int64)[:, None]
-                incidence[rows, self.clique_triangles] = 1
-            self._clique_tri_incidence = incidence
+            self._clique_tri_incidence = _incidence(self.clique_triangles, self.num_triangles)
         return self._clique_tri_incidence
 
     def triangle_labels(self) -> list[Triangle]:
@@ -386,6 +399,11 @@ def _connected_through_cliques(index: CandidateWorldIndex, clique_row: np.ndarra
     clique) must share a root.  Runs only for worlds that already passed the
     vectorized coverage and support filters.
     """
+    if obs_config._ENABLED:
+        obs_registry.counter(
+            "repro_sampling_connectivity_checks_total",
+            "Per-pattern 4-clique connectivity checks (union-find runs).",
+        ).inc()
     present = np.flatnonzero(clique_row)
     if present.size == 0:
         return False
@@ -397,6 +415,37 @@ def _connected_through_cliques(index: CandidateWorldIndex, clique_row: np.ndarra
         components.union(t0, t3)
     roots = {components.find(int(t)) for t in np.unique(members)}
     return len(roots) == 1
+
+
+def _distinct_patterns(clique_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct clique-presence rows and, per input row, its pattern id."""
+    patterns, inverse = np.unique(clique_rows, axis=0, return_inverse=True)
+    return patterns, np.asarray(inverse).ravel()  # numpy 2.0.0 returns it (n, 1)-shaped
+
+
+def _filter_mask(
+    index: CandidateWorldIndex, worlds: np.ndarray, clique_present: np.ndarray, k: int
+) -> np.ndarray:
+    """Worlds with a present 4-clique that pass edge coverage and k-support.
+
+    Conditions 1 and 2 of :func:`nucleus_world_mask`, evaluated only on the
+    worlds with some present clique.  Both counts are float64 BLAS matmuls
+    against the 0/1 incidence matrices: each entry counts at most
+    ``num_cliques`` ones, so it is an exact integer in float64.
+    """
+    rows = np.flatnonzero(clique_present.any(axis=1))
+    mask = np.zeros(worlds.shape[0], dtype=bool)
+    if rows.size == 0:
+        return mask
+    clique_counts = clique_present[rows].astype(np.float64)
+    # Condition 1: present edges covered by present cliques.
+    covered = (clique_counts @ index.clique_edge_incidence) > 0
+    passing = ~(worlds[rows] & ~covered).any(axis=1)
+    # Condition 2: structural triangles supported by at least k present cliques.
+    support = clique_counts @ index.clique_tri_incidence
+    passing &= ~((support >= 1) & (support < k)).any(axis=1)
+    mask[rows] = passing
+    return mask
 
 
 def nucleus_world_mask(
@@ -413,38 +462,22 @@ def nucleus_world_mask(
 
     * a world with no present 4-clique is never a nucleus;
     * every present edge must lie in a present 4-clique (edge coverage, one
-      integer matmul);
+      matmul);
     * every *structural* triangle (contained in ≥ 1 present clique) must be
       supported by ≥ k present cliques — incidental triangles are exempt;
     * all structural triangles must be 4-clique-connected (checked by
-      union-find only on the worlds that survive the vectorized filters).
+      union-find only on the worlds that survive the vectorized filters,
+      once per distinct clique-presence pattern).
     """
     if k < 0:
         raise InvalidParameterError(f"k must be non-negative, got {k}")
-    n_worlds = worlds.shape[0]
     if index.num_cliques == 0:
-        return np.zeros(n_worlds, dtype=bool)
+        return np.zeros(worlds.shape[0], dtype=bool)
     _, clique_present = structure_presence(index, worlds) if presence is None else presence
-    clique_counts = clique_present.astype(np.int64)
-
-    mask = clique_present.any(axis=1)
-    if not mask.any():
-        return mask
-
-    # Condition 1: present edges covered by present cliques.
-    edge_cover = clique_counts @ index.clique_edge_incidence
-    mask &= ~(worlds & (edge_cover == 0)).any(axis=1)
-
-    # Condition 2: structural triangles supported by at least k present cliques.
-    support = clique_counts @ index.clique_tri_incidence
-    mask &= ~((support >= 1) & (support < k)).any(axis=1)
-
-    # Condition 3: 4-clique connectivity, per surviving world, deduplicated by
-    # identical clique-presence patterns.
+    mask = _filter_mask(index, worlds, clique_present, k)
     survivors = np.flatnonzero(mask)
     if survivors.size:
-        patterns, inverse = np.unique(clique_present[survivors], axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).ravel()  # numpy 2.0.0 returns it (n, 1)-shaped
+        patterns, inverse = _distinct_patterns(clique_present[survivors])
         verdicts = np.fromiter(
             (_connected_through_cliques(index, pattern) for pattern in patterns),
             dtype=bool,
@@ -454,22 +487,121 @@ def nucleus_world_mask(
     return mask
 
 
-def _instrumented_counts(model, impl, index, worlds, k) -> np.ndarray:
+def count_needed(passing: np.ndarray, start: "np.ndarray | int" = 0) -> "np.ndarray | int":
+    """How many more hits a count at ``start`` needs to reach a passing count.
+
+    ``passing[c]`` says whether a (cumulative) count ``c`` survives the
+    caller's exact threshold test.  The result ``need`` is the distance from
+    ``start`` to the first passing count at or after it (one past the table
+    when there is none), so a batch that adds fewer than ``need`` hits leaves
+    the count on failing values only — the contract of :func:`_bounded_counts`.
+    Vectorizes over an array of starts.
+    """
+    size = passing.size
+    first = np.where(passing, np.arange(size), size)
+    first = np.minimum.accumulate(first[::-1])[::-1]
+    return first[start] - start
+
+
+def _violates(upper: np.ndarray, need, stage: str) -> bool:
+    """Whether some triangle's bound falls below its need (counted per stage)."""
+    if not bool((upper < need).any()):
+        return False
+    if obs_config._ENABLED:
+        obs_registry.counter(
+            "repro_sampling_bound_rejects_total",
+            "Global candidates rejected by an exact upper bound, by bound stage.",
+            stage=stage,
+        ).inc()
+    return True
+
+
+def _bounded_counts(
+    index: CandidateWorldIndex,
+    tri_present: np.ndarray,
+    clique_present: np.ndarray,
+    filters,
+    need,
+    kernel_counts=None,
+    exact_counts: bool = True,
+) -> tuple[np.ndarray, bool]:
+    """Exact nucleus-world counts per triangle, or a rejection as soon as one is certain.
+
+    The decision stage shared by every global verifier.  ``need`` (a scalar
+    or a per-triangle array, see :func:`count_needed`) is the count below
+    which a triangle sinks the candidate.  Each stage computes an *exact
+    upper bound* on every count, so a bound under ``need`` proves the exact
+    count is under it too.  Bounds, cheapest first:
+
+    1. ``presence`` — the worlds that contain the triangle;
+    2. ``filters`` — of those, the worlds in ``filters()`` (a lazily
+       computed mask of the worlds with a present clique that pass coverage
+       and support);
+    3. ``connectivity`` — the filter survivors' distinct clique patterns are
+       checked one union-find at a time, most hits on the least-slack
+       triangle first; every disconnected pattern's hits are subtracted from
+       the bounds, and the first violation returns.  After the last pattern
+       the bounds are the exact counts.
+
+    ``kernel_counts`` (a thunk returning the exact counts — a compiled
+    kernel or a shard pool) replaces stage 3, so those paths reach the same
+    decisions.  With ``exact_counts=False`` only the decision is wanted:
+    stage 3 also keeps *lower* bounds (the hits of patterns found
+    connected) and passes as soon as every one reaches ``need``.
+
+    Returns ``(counts, rejected)``: with ``rejected`` the counts are bounds
+    (or exact counts) with some entry below ``need``; without it every
+    count reaches ``need`` and the counts are exact (lower bounds when
+    ``exact_counts=False``).
+    """
+    upper = tri_present.sum(axis=0, dtype=np.int64)
+    if _violates(upper, need, "presence"):
+        return upper, True
+    mask = filters()
+    upper = tri_present[mask].sum(axis=0, dtype=np.int64)
+    if _violates(upper, need, "filters"):
+        return upper, True
+    if kernel_counts is not None:
+        counts = kernel_counts()
+        return counts, _violates(counts, need, "connectivity")
+    survivors = np.flatnonzero(mask)
+    if survivors.size == 0:
+        return upper, False
+    patterns, inverse = _distinct_patterns(clique_present[survivors])
+    # hits[p, t]: surviving worlds with clique pattern p that contain t.
+    order = np.argsort(inverse, kind="stable")
+    starts = np.flatnonzero(np.diff(inverse[order], prepend=-1))
+    hits = np.add.reduceat(tri_present[survivors[order]], starts, axis=0, dtype=np.int64)
+    tightest = int(np.argmin(upper - need))
+    lower = np.zeros_like(upper)
+    for pattern in np.argsort(-hits[:, tightest], kind="stable").tolist():
+        if not exact_counts and not bool((lower < need).any()):
+            return lower, False
+        if _connected_through_cliques(index, patterns[pattern]):
+            lower += hits[pattern]
+            continue
+        upper -= hits[pattern]
+        if _violates(upper, need, "connectivity"):
+            return upper, True
+    return upper, False
+
+
+def _instrumented(model: str, worlds: np.ndarray, run):
     """Run one verification batch inside a ``sampling.verify`` span.
 
     Records the batch's wall time into the per-model
     ``repro_sampling_verify_seconds`` histogram; only reached while telemetry
-    is enabled (the disabled path calls the impl directly, untimed).
+    is enabled (the disabled path calls ``run`` directly, untimed).
     """
     with span("sampling.verify", model=model, worlds=int(worlds.shape[0])):
         with timer() as t:
-            counts = impl(index, worlds, k)
+            result = run()
     obs_registry.histogram(
         "repro_sampling_verify_seconds",
         "Wall-clock seconds per Monte-Carlo world-verification batch.",
         model=model,
     ).observe(t.seconds)
-    return counts
+    return result
 
 
 def global_triangle_counts(
@@ -488,16 +620,72 @@ def global_triangle_counts(
     :mod:`repro.kernels.worlds` — bit-identical counts for the same
     ``worlds`` matrix (it evaluates the same predicates without the dense
     incidence matmuls) — and degrades to the numpy path when numba is
-    missing.
+    missing.  Verification itself only needs the θ decision;
+    :func:`decide_global_counts` answers it without computing counts that
+    cannot change it.
     """
+    if k < 0:
+        raise InvalidParameterError(f"k must be non-negative, got {k}")
     kernel = resolve_kernel(kernel)
     if pool is not None:
         return pool.run(_global_counts_shard, index, worlds, k, kernel=kernel)
     impl = _global_counts_numba if kernel == "numba" else _global_counts_impl
     record_dispatch("verify.global", kernel)
     if obs_config._ENABLED:
-        return _instrumented_counts("global", impl, index, worlds, k)
+        return _instrumented("global", worlds, lambda: impl(index, worlds, k))
     return impl(index, worlds, k)
+
+
+def decide_global_counts(
+    index: CandidateWorldIndex,
+    worlds: np.ndarray,
+    k: int,
+    need,
+    pool: "WorldShardPool | None" = None,
+    kernel: str = "numpy",
+    exact_counts: bool = True,
+) -> tuple[np.ndarray, bool]:
+    """Decide whether every triangle's nucleus-world count reaches ``need``.
+
+    Returns ``(counts, rejected)`` as :func:`_bounded_counts` does: the exact
+    :func:`global_triangle_counts` when every count reaches ``need``, and
+    otherwise a rejection, usually settled by an exact upper bound long
+    before every count is known.  ``exact_counts=False`` (the fixed-``n``
+    verifier, which keeps only the decision) lets a pass return lower
+    bounds as soon as they settle it.  The bound stages run in the calling
+    process in front of the kernel dispatch; ``kernel="numba"`` and a shard
+    ``pool`` then compute the exact counts of the candidates the bounds
+    cannot reject, so every kernel and ``n_jobs`` value decides alike.
+    """
+    if k < 0:
+        raise InvalidParameterError(f"k must be non-negative, got {k}")
+    kernel = resolve_kernel(kernel)
+    record_dispatch("verify.global", kernel)
+    decide = partial(_decide, index, worlds, k, need, pool, kernel, exact_counts)
+    if obs_config._ENABLED:
+        return _instrumented("global", worlds, decide)
+    return decide()
+
+
+def _decide(index, worlds, k, need, pool, kernel, exact_counts) -> tuple[np.ndarray, bool]:
+    """:func:`decide_global_counts` without the validation and telemetry."""
+    tri_present, clique_present = structure_presence(index, worlds)
+    kernel_counts = None
+    if pool is not None:
+        kernel_counts = partial(
+            pool.run, _global_counts_shard, index, worlds, k, kernel=kernel
+        )
+    elif kernel == "numba":
+        kernel_counts = partial(_global_counts_numba, index, worlds, k)
+    return _bounded_counts(
+        index,
+        tri_present,
+        clique_present,
+        lambda: _filter_mask(index, worlds, clique_present, k),
+        need,
+        kernel_counts=kernel_counts,
+        exact_counts=exact_counts,
+    )
 
 
 def _global_counts_numba(
@@ -511,10 +699,8 @@ def _global_counts_numba(
 def _global_counts_impl(
     index: CandidateWorldIndex, worlds: np.ndarray, k: int
 ) -> np.ndarray:
-    presence = structure_presence(index, worlds)
-    tri_present, _ = presence
-    mask = nucleus_world_mask(index, worlds, k, presence=presence)
-    return tri_present[mask].sum(axis=0, dtype=np.int64)
+    counts, _ = _decide(index, worlds, k, 0, pool=None, kernel="numpy", exact_counts=True)
+    return counts
 
 
 def _world_weak_covered(
@@ -610,7 +796,7 @@ def weak_membership_counts(
     impl = _weak_counts_numba if kernel == "numba" else _weak_counts_impl
     record_dispatch("verify.weak", kernel)
     if obs_config._ENABLED:
-        return _instrumented_counts("weak", impl, index, worlds, k)
+        return _instrumented("weak", worlds, lambda: impl(index, worlds, k))
     return impl(index, worlds, k)
 
 

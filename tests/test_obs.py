@@ -296,6 +296,18 @@ class TestSpans:
         assert len(trace["children"]) == MAX_CHILDREN
         assert trace["attrs"]["dropped_children"] == 5
 
+    def test_full_sink_counts_its_drops(self):
+        sink = InMemorySink()
+        set_sink(sink)
+        configure(enabled=True)
+        for i in range(sink.maxlen + 5):
+            with span("root", i=i):
+                pass
+        kept = sink.traces()
+        assert len(kept) == sink.maxlen and kept[0]["attrs"]["i"] == 5
+        assert sink.dropped == 5
+        assert REGISTRY.counter("repro_obs_traces_dropped_total").value == 5
+
     def test_capture_restores_sink_and_switch(self):
         outer = InMemorySink()
         set_sink(outer)
