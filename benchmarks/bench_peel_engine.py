@@ -6,7 +6,7 @@ label-space dict state* — one canonical tuple per triangle, one dict of
 canonical 4-clique tuples per triangle — to run the reference lazy-heap
 loop.  This benchmark preserves that legacy path verbatim
 (:func:`legacy_csr_scores`) and times it against the current pipeline
-(:mod:`repro.core.peel`: flat incidence arrays + bucket queue, label
+(:mod:`repro.core.peel`: flat incidence arrays + batched peel rounds, label
 translation only for the final score dictionary) on every bundled dataset
 analogue.  Both sides must return identical scores (asserted).
 
@@ -108,7 +108,7 @@ def legacy_csr_scores(csr: CSRProbabilisticGraph, theta: float, estimator) -> di
 def engine_csr_scores(
     csr: CSRProbabilisticGraph, theta: float, estimator, kernel: str = "numpy"
 ) -> dict:
-    """The current CSR path: flat bucket-queue peel + one label translation."""
+    """The current CSR path: flat array peel + one label translation."""
     index, scores = _csr_engine_arrays(csr, theta, estimator, kernel=kernel)
     return _label_space_scores(csr, index, scores)
 

@@ -34,6 +34,7 @@ triangle.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,6 +66,7 @@ __all__ = [
     "delta_triangle_extension_index",
     "clique_vertex_rows",
     "batched_initial_kappas",
+    "padded_row_groups",
 ]
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
@@ -92,8 +94,8 @@ class CSRTriangleIndex:
     member triangles: ``clique_triangles[c]`` lists the four triangle rows of
     clique ``c`` and ``clique_pair_positions[c]`` the positions of those four
     (triangle, clique) pairs inside the pair arrays — so killing a clique is
-    four O(1) writes, the operation the peel engine
-    (:mod:`repro.core.peel`) builds its bucket-queue loop on.
+    four writes, which the peel engine (:mod:`repro.core.peel`) batches
+    over a whole round of peeled triangles.
     """
 
     triangles: list[IntTriangle]
@@ -626,17 +628,24 @@ def _tails_from_pmf(pmf: np.ndarray) -> np.ndarray:
 
 
 def _dp_tails(matrix: np.ndarray) -> np.ndarray:
-    """Exact Poisson-binomial tails (Equation 7) for all rows of ``matrix``."""
+    """Exact Poisson-binomial tails (Equation 7) for all rows of ``matrix``.
+
+    The pmf is kept column-major — ``pmf[k]`` is one contiguous vector over
+    the rows — and step ``j`` touches only columns ``0 … j + 1``, the ones
+    that can carry mass.  Each update is the scalar recurrence's
+    ``pmf[k]·(1 − p) + pmf[k − 1]·p``, so the tails are bit-identical to
+    :func:`~repro.core.support_dp.support_tail_probabilities`.
+    """
     m, c = matrix.shape
-    pmf = np.zeros((m, c + 1), dtype=np.float64)
-    pmf[:, 0] = 1.0
+    columns = np.ascontiguousarray(matrix.T)
+    pmf = np.zeros((c + 1, m), dtype=np.float64)
+    pmf[0] = 1.0
     for j in range(c):
-        p = matrix[:, j][:, None]
-        nxt = np.zeros_like(pmf)
-        nxt[:, 1:] = pmf[:, :-1] * p
-        nxt += pmf * (1.0 - p)
-        pmf = nxt
-    return _tails_from_pmf(pmf)
+        p = columns[j]
+        shifted = pmf[: j + 1] * p
+        pmf[: j + 1] *= 1.0 - p
+        pmf[1 : j + 2] += shifted
+    return _tails_from_pmf(pmf.T)
 
 
 def _poisson_tails_from_rates(rates: np.ndarray, count: int) -> np.ndarray:
@@ -796,6 +805,79 @@ def _hybrid_partition(
     return {name: mask for name, mask in masks.items() if mask.any()}
 
 
+#: Rows of at most this many values share one padded matrix in
+#: :func:`padded_row_groups`; wider rows are grouped by the next power of two.
+NARROW_WIDTH = 16
+
+
+def padded_row_groups(
+    indptr: np.ndarray,
+    values: np.ndarray,
+    rows: np.ndarray,
+    alive: np.ndarray | None = None,
+    pad: bool = True,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Gather the postings of ``rows`` into dense matrices, one per width class.
+
+    Row ``r``'s postings are ``values[indptr[r]:indptr[r + 1]]``; with an
+    ``alive`` mask (parallel to ``values``) only the postings flagged alive
+    are kept.  Yields ``(group, matrix, counts)`` where ``group`` indexes
+    into ``rows``, ``counts[i]`` is the number of kept postings of row
+    ``rows[group[i]]`` and ``matrix[i, :counts[i]]`` holds them in posting
+    order, followed by zeros.
+
+    With ``pad=True`` rows of at most :data:`NARROW_WIDTH` kept postings
+    share one matrix and wider rows are grouped by the next power of two, so
+    one hub row cannot widen every other row; each matrix is as wide as its
+    widest row.  With ``pad=False`` every matrix holds rows of one exact
+    width, for kernels whose arithmetic depends on the row length.  Groups
+    come in the order of their first row, and rows keep their order within
+    a group.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    if alive is None:
+        source, offsets, counts = values, starts, lengths
+    else:
+        total = int(lengths.sum())
+        ends = np.cumsum(lengths)
+        positions = np.arange(total, dtype=np.int64) + np.repeat(
+            starts - (ends - lengths), lengths
+        )
+        keep = alive[positions]
+        source = values[positions[keep]]
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        counts = kept[ends] - kept[ends - lengths]
+        offsets = np.cumsum(counts) - counts
+    widest = int(counts.max())
+    if widest <= NARROW_WIDTH if pad else widest == int(counts.min()):
+        groups = [np.arange(rows.size, dtype=np.int64)]
+    else:
+        if pad:
+            classes = np.where(counts <= NARROW_WIDTH, 0, np.frexp(counts - 1)[1])
+        else:
+            classes = counts
+        _, inverse = np.unique(classes, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        groups = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
+        groups.sort(key=lambda group: group[0])
+    last = max(source.size - 1, 0)
+    for group in groups:
+        group_counts = counts[group]
+        columns = np.arange(int(group_counts.max()), dtype=np.int64)
+        index = offsets[group][:, None] + columns
+        if pad:
+            matrix = np.where(
+                columns < group_counts[:, None], source[np.minimum(index, last)], 0.0
+            )
+        else:
+            matrix = source[index]
+        yield group, matrix, group_counts
+
+
 def batched_initial_kappas(
     index: CSRTriangleIndex,
     theta: float,
@@ -803,9 +885,10 @@ def batched_initial_kappas(
 ) -> np.ndarray:
     """Compute the initial κ-score of every indexed triangle in vectorized batches.
 
-    Triangles are grouped by support size ``c_△``; each group's extension
-    probabilities stack into a dense ``(group, c_△)`` matrix evaluated by the
-    estimator's vectorized kernel in one shot.  The returned ``int64`` array
+    Triangles are grouped by support size ``c_△`` (:func:`padded_row_groups`
+    with ``pad=False``); each group's extension probabilities stack into a
+    dense ``(group, c_△)`` matrix evaluated by the estimator's vectorized
+    kernel in one shot.  The returned ``int64`` array
     is parallel to ``index.triangles``.  For a
     :class:`~repro.core.hybrid.HybridEstimator` the rows of a group are
     further partitioned by the §5.3 selection cascade (and
@@ -820,7 +903,6 @@ def batched_initial_kappas(
     tri_probs = index.triangle_probabilities
     indptr = index.tri_clique_indptr
     flat = index.tri_extension_probabilities
-    sizes = np.diff(indptr)
 
     is_hybrid = isinstance(estimator, HybridEstimator)
     kernel = None if is_hybrid else _KERNELS.get(type(estimator))
@@ -831,30 +913,21 @@ def batched_initial_kappas(
             )
         return kappas
 
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(sizes.tolist()):
-        groups.setdefault(c, []).append(i)
-
-    for c, members in groups.items():
-        member_ids = np.asarray(members, dtype=np.int64)
-        # Rows of equal support size gather into one dense matrix with a
-        # single fancy index over the flat pair array.
-        matrix = (
-            np.empty((member_ids.size, 0), dtype=np.float64)
-            if c == 0
-            else flat[indptr[member_ids][:, None] + np.arange(c, dtype=np.int64)]
-        )
-        group_probs = tri_probs[member_ids]
+    # Exact widths: the tail kernels' arithmetic depends on the row length
+    # (and the exact DP, padded, would pay for the padding on every row).
+    for group, matrix, _ in padded_row_groups(
+        indptr, flat, np.arange(num_triangles), pad=False
+    ):
+        group_probs = tri_probs[group]
         if is_hybrid:
             for name, mask in _hybrid_partition(matrix, estimator).items():
                 estimator.selection_counts[name] += int(mask.sum())
                 tails = _KERNELS_BY_NAME[name](matrix[mask])
-                kappas[member_ids[mask]] = _max_k_from_tails(
+                kappas[group[mask]] = _max_k_from_tails(
                     group_probs[mask], tails, theta
                 )
         else:
-            tails = kernel(matrix)
-            kappas[member_ids] = _max_k_from_tails(group_probs, tails, theta)
+            kappas[group] = _max_k_from_tails(group_probs, kernel(matrix), theta)
 
     # The sentinel contract: anything below 0 is NO_VALID_K.
     np.maximum(kappas, NO_VALID_K, out=kappas)

@@ -26,8 +26,8 @@ reference path: canonical-tuple state, a :class:`~repro.peeling.LazyMinHeap`
 peel, scalar estimator calls — the parity oracle every optimisation is pinned
 against.  ``backend="csr"`` never materialises triangle or 4-clique objects
 at all: :mod:`repro.core.batch` builds the flat incidence arrays and the
-vectorized initial κ-scores, and :mod:`repro.core.peel` runs the bucket-queue
-peel over those arrays, translating back to canonical label space only once,
+vectorized initial κ-scores, and :mod:`repro.core.peel` runs the
+level-synchronous peel over those arrays, translating back to canonical label space only once,
 for the final score dictionary.
 
 Triangles whose own existence probability is below θ receive the sentinel
@@ -276,7 +276,7 @@ def local_nucleus_decomposition(
         seed implementation did and peels with a lazy min-heap; ``"csr"``
         compiles the graph to the array-backed CSR engine, initialises all
         κ-scores in vectorized batches (:mod:`repro.core.batch`), and peels
-        with the flat bucket-queue engine (:mod:`repro.core.peel`) without
+        with the flat array engine (:mod:`repro.core.peel`) without
         materialising any triangle or 4-clique objects.  Both backends
         produce identical decompositions; ``"csr"`` is markedly faster on
         graphs with many triangles.
@@ -299,7 +299,8 @@ def local_nucleus_decomposition(
     paper invokes.  Because the repaired κ of a triangle depends only on its
     surviving clique set (and removing cliques never raises the exact tail),
     the final scores do not depend on which minimum-κ triangle is peeled
-    first, so the heap-based and bucket-queue loops agree exactly.
+    first, so the heap-based loop and the level-synchronous rounds agree
+    exactly.
     """
     if backend not in BACKENDS:
         raise InvalidParameterError(

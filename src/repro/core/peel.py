@@ -2,23 +2,22 @@
 
 Algorithm 1's peel loop — "repeatedly remove an unprocessed triangle of
 minimum κ, kill every 4-clique through it, repair the κ-scores of the
-affected triangles" — historically ran over per-triangle dataclasses holding
-dicts of canonical 4-clique tuples, rebuilt from the CSR arrays after the
-vectorized initialization.  This module keeps the whole loop in flat-array
-space instead:
+affected triangles" — runs here over flat arrays rather than per-triangle
+objects:
 
 * the triangle ⇄ 4-clique incidence is the postings structure of
   :class:`repro.core.batch.CSRTriangleIndex` — integer ids and parallel
   float arrays, no ``Triangle``/``FourClique`` tuples, no per-triangle
   dicts or dataclasses anywhere in the loop;
-* for *monotone* repairs the priority queue is a **bucket queue** over
-  κ-values (the structure used by deterministic k-core peeling,
-  Batagelj–Zaveršnik): an ``order`` array partitioned into buckets with
-  O(1) re-keying by swap, replacing the lazy min-heap and its stale-entry
-  churn, with exact repairs deferred to the queue front via the unit-drop
-  lower bound (see :attr:`KappaRepair.unit_drop`); non-monotone repairs
-  instead replay the reference loop's lazy-heap trajectory over integer
-  rows, because their scores depend on the exact repair schedule;
+* for *unit-drop* repairs (the exact DP oracle, whose κ never rises as
+  cliques die) the peel is **level-synchronous**: each round removes every
+  live triangle at or below the current level at once, kills their live
+  4-cliques with array operations, and re-scores all affected triangles in
+  one batched :meth:`KappaRepair.recompute_rows` call — for the exact DP
+  one padded run of the vectorized Equation-7 kernel of
+  :mod:`repro.core.batch`; non-monotone repairs instead replay the
+  reference loop's lazy-heap trajectory over integer rows, because their
+  scores depend on the exact repair schedule;
 * score repair is pluggable through :class:`KappaRepair`:
   :class:`EstimatorKappaRepair` wraps any
   :class:`~repro.core.approximations.SupportEstimator` (exact DP and every
@@ -29,9 +28,15 @@ space instead:
 The engine produces exactly the scores of the dict-backed reference loop:
 for the exact oracle the peel value of a triangle is the generalized-core
 number of a monotone local score function, independent of the order in
-which minimum triangles are peeled; for the approximations the trajectory
-itself is replicated.  The surviving extension probabilities are summed in
-the same (completing-vertex) order as the dict state on the CSR path.
+which minimum triangles are peeled (so peeling a whole level per round
+changes nothing), and zero-probability padding leaves every DP tail
+bit-identical; for the approximations the trajectory itself is replicated.
+The one exception is a θ on a floating-point rounding boundary, notably
+θ = 1, where the computed tail of a certain triangle can flip across θ as
+uncertain cliques die; there the exact DP is not monotone in floating
+point and peel orders can disagree (``docs/ARCHITECTURE.md``).
+The surviving extension probabilities are kept in the same
+(completing-vertex) order as the dict state on the CSR path.
 ``tests/test_peel_engine.py`` and ``tests/test_backend_parity.py`` pin the
 parity on every fixture, estimator, and a randomized graph sweep.
 """
@@ -45,8 +50,14 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.approximations import DynamicProgrammingEstimator, SupportEstimator
-from repro.core.batch import CSRTriangleIndex
+from repro.core.batch import (
+    CSRTriangleIndex,
+    _dp_tails,
+    _max_k_from_tails,
+    padded_row_groups,
+)
 from repro.core.support_dp import NO_VALID_K
+from repro.deterministic.cliques import concatenated_rows
 from repro.exceptions import InvalidParameterError
 from repro.kernels import record_dispatch, resolve_kernel
 from repro.obs import config as obs_config
@@ -81,17 +92,40 @@ class KappaRepair(ABC):
     #: Whether one clique death can lower this repair's κ by at most one.
     #: For the *exact* Poisson-binomial tail this always holds — dropping one
     #: Bernoulli variable ``E`` satisfies ``Pr[ζ − E ≥ k] ≥ Pr[ζ ≥ k + 1]``,
-    #: so the qualifying ``k`` shrinks by at most one — and the peel engine
-    #: then defers exact recomputation until the triangle reaches the queue
-    #: front, tracking a cheap lower bound in between.  The §5.3
-    #: approximations do *not* guarantee the property (e.g. the Poisson tail
-    #: at rate ``λ − 1`` can undercut the exact unit-drop bound), so they
-    #: leave this ``False`` and are repaired eagerly on every death.
+    #: so the qualifying ``k`` shrinks by at most one — and, more to the
+    #: point, κ never rises as cliques die, which makes the peel scores
+    #: independent of the peel order.  The peel engine then runs
+    #: level-synchronous rounds with batched repairs (:meth:`recompute_rows`).
+    #: The §5.3 approximations do *not* guarantee the property (e.g. the
+    #: Poisson tail at rate ``λ − 1`` can undercut the exact unit-drop
+    #: bound), so they leave this ``False`` and replay the reference
+    #: trajectory with a repair on every death.
     unit_drop: bool = False
 
     @abstractmethod
     def recompute(self, triangle: int, surviving_probabilities: Sequence[float]) -> int:
         """Return the repaired κ-score of triangle row ``triangle``."""
+
+    def recompute_rows(
+        self, rows: np.ndarray, matrix: np.ndarray, alive_counts: np.ndarray
+    ) -> np.ndarray:
+        """Return the repaired κ-scores of triangle rows ``rows`` at once.
+
+        ``matrix[i, :alive_counts[i]]`` holds the surviving extension
+        probabilities of ``rows[i]`` in posting order; the rest of the row
+        is zero padding.  The default calls :meth:`recompute` per row.
+        """
+        recompute = self.recompute
+        return np.fromiter(
+            (
+                recompute(t, values[:count])
+                for t, values, count in zip(
+                    rows.tolist(), matrix.tolist(), alive_counts.tolist()
+                )
+            ),
+            dtype=np.int64,
+            count=rows.size,
+        )
 
 
 class EstimatorKappaRepair(KappaRepair):
@@ -99,7 +133,9 @@ class EstimatorKappaRepair(KappaRepair):
 
     This is the hook the decomposition entry points install: it evaluates the
     same ``max_k`` the dict backend calls during its repairs, so the two
-    backends score identically.
+    backends score identically.  For the exact DP, :meth:`recompute_rows`
+    runs the vectorized Equation-7 kernel of :mod:`repro.core.batch` over
+    the whole batch; its tails are bit-identical to the scalar DP's.
     """
 
     def __init__(
@@ -108,6 +144,8 @@ class EstimatorKappaRepair(KappaRepair):
         triangle_probabilities: np.ndarray,
         theta: float,
     ) -> None:
+        if not 0.0 <= theta <= 1.0:
+            raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
         self.estimator = estimator
         self.theta = theta
         self.name = estimator.name
@@ -115,12 +153,25 @@ class EstimatorKappaRepair(KappaRepair):
         # subclasses may override max_k arbitrarily, so match the type
         # exactly rather than with isinstance.
         self.unit_drop = type(estimator) is DynamicProgrammingEstimator
-        self._triangle_probabilities = triangle_probabilities.tolist()
+        self._probabilities = np.asarray(triangle_probabilities, dtype=np.float64)
+        self._triangle_probabilities = self._probabilities.tolist()
 
     def recompute(self, triangle: int, surviving_probabilities: Sequence[float]) -> int:
         return self.estimator.max_k(
             self._triangle_probabilities[triangle], surviving_probabilities, self.theta
         )
+
+    def recompute_rows(
+        self, rows: np.ndarray, matrix: np.ndarray, alive_counts: np.ndarray
+    ) -> np.ndarray:
+        if not self.unit_drop:
+            return super().recompute_rows(rows, matrix, alive_counts)
+        # Zero padding is exact (pmf·1.0 + shifted·0.0), so tails up to a
+        # row's survivor count match the scalar DP bit for bit and the tails
+        # past it are 0 — which qualify only at θ = 0, hence the cap.
+        tails = _dp_tails(matrix)
+        best = _max_k_from_tails(self._probabilities[rows], tails, self.theta)
+        return np.minimum(best, alive_counts)
 
 
 class MonteCarloKappaRepair(KappaRepair):
@@ -356,35 +407,41 @@ def peel_kappa_scores(
     ``kernel="numba"`` dispatches to the compiled loops of
     :mod:`repro.kernels.peel` when the repair supports them: the unit-drop
     (exact-DP) bucket queue — bit-identical, the Poisson-binomial repair
-    stays in Python behind a batched callback — and the fully-jitted
+    stays in Python behind a per-repair callback — and the fully-jitted
     Monte-Carlo lazy heap (distribution-identical; numba draws its own
     variate stream).  Other repairs — the §5.3 approximated tails, whose
     scores are trajectory-sensitive — always run the reference numpy loop,
     as does everything when numba is not installed.
 
     When observability is on (``REPRO_OBS``), the run is wrapped in a
-    ``"peel"`` span (carrying the resolved ``kernel``) and feeds the
-    ``repro_peel_*`` counters — queue pops, repair-hook invocations, and
-    unit-drop lazy-bound deferrals — with the counts accumulated in
-    loop-local integers so the disabled-mode overhead stays within the
-    CI-gated 3% of the uninstrumented loop (see ``docs/OBSERVABILITY.md``).
+    ``"peel"`` span (carrying the resolved ``kernel``, the ``queue``
+    discipline and, for the level-synchronous peel, its ``rounds``) and
+    feeds the ``repro_peel_*`` counters — triangles settled, rows
+    re-scored, and (compiled bucket queue only) unit-drop deferrals — with
+    the counts accumulated in loop-local integers so the disabled-mode
+    overhead stays within the CI-gated 3% of the uninstrumented loop (see
+    ``docs/OBSERVABILITY.md``).
     """
     engine = resolve_kernel(kernel)
     if engine == "numba" and not (
         repair.unit_drop or isinstance(repair, MonteCarloKappaRepair)
     ):
         engine = "numpy"
+    if not repair.unit_drop:
+        queue = "heap"
+    else:
+        queue = "bucket" if engine == "numba" else "rounds"
     with span(
         "peel",
         triangles=index.num_triangles,
         repair=repair.name,
-        queue="bucket" if repair.unit_drop else "heap",
+        queue=queue,
         kernel=engine,
-    ):
+    ) as peel_span:
         record_dispatch("peel", engine)
         if engine == "numba":
             return _peel_kappa_scores_kernel(index, initial_kappas, repair)
-        return _peel_kappa_scores(index, initial_kappas, repair)
+        return _peel_kappa_scores(index, initial_kappas, repair, peel_span)
 
 
 def _peel_kappa_scores_kernel(
@@ -421,16 +478,16 @@ def _record_peel_metrics(repair: KappaRepair, pops: int, repairs: int, deferrals
     counter = obs_registry.counter
     counter(
         "repro_peel_pops_total",
-        "Triangles popped from the peel queue (bucket or lazy heap).",
+        "Triangles settled by the peel (rounds, bucket queue or lazy heap).",
     ).inc(pops)
     counter(
         "repro_peel_repairs_total",
-        "Repair-hook (KappaRepair.recompute) invocations during peeling.",
+        "Rows re-scored by the repair hook during peeling.",
         repair=repair.name,
     ).inc(repairs)
     counter(
         "repro_peel_deferrals_total",
-        "Unit-drop bucket steps taken in place of an eager exact repair.",
+        "Unit-drop bucket steps of the compiled kernel in place of an eager repair.",
     ).inc(deferrals)
 
 
@@ -438,29 +495,21 @@ def _peel_kappa_scores(
     index: CSRTriangleIndex,
     initial_kappas: np.ndarray,
     repair: KappaRepair,
+    peel_span: span,
 ) -> np.ndarray:
     """The peel loop itself (see :func:`peel_kappa_scores`).
 
     Runs Algorithm 1's loop entirely over the flat incidence arrays of
-    ``index``: triangles are integer rows, 4-cliques are integer rows, and
-    liveness is a pair of boolean lists — the loop allocates no per-triangle
-    Python objects (no tuples, dicts, or dataclasses), only the transient
-    surviving-probability buffer each :class:`KappaRepair` call consumes.
-
-    Two queue disciplines drive the loop, selected by the repair's
+    ``index``: triangles are integer rows and 4-cliques are integer rows.
+    Two disciplines drive the loop, selected by the repair's
     :attr:`~KappaRepair.unit_drop` capability:
 
-    * **Bucket queue** (unit-drop repairs, i.e. the exact DP oracle) — a
-      bucket queue over κ-values offset by one (the ``-1`` sentinel of
-      below-θ triangles occupies bucket 0 and is peeled first): ``order``
-      holds the triangle rows partitioned by bucket, ``position`` inverts
-      it, and ``bucket_start[b]`` marks where bucket ``b`` begins.  A
-      clique death just steps the affected triangles one bucket down — an
-      O(1) swap, valid as a lower bound precisely because of unit-drop —
-      and the exact repair is deferred until the triangle reaches the
-      queue front.  Scores of a monotone repair are peel-order
-      independent, so this reproduces the reference loop's output exactly
-      while skipping most of its intermediate repairs.
+    * **Level-synchronous rounds** (unit-drop repairs, i.e. the exact DP
+      oracle; :func:`_peel_rounds`) — every triangle at or below the
+      current level is peeled at once and the affected triangles are
+      re-scored in one batched :meth:`~KappaRepair.recompute_rows` call per
+      round.  Scores of a monotone repair are peel-order independent, so
+      this reproduces the reference loop's output exactly.
     * **Lazy min-heap** (everything else) — the §5.3 approximated tails
       are not monotone under clique removal (a death can *raise* κ), which
       makes the final scores sensitive to the exact pop/repair schedule.
@@ -480,10 +529,88 @@ def _peel_kappa_scores(
             "initial_kappas must be parallel to index.triangles "
             f"(expected shape ({num_triangles},), got {initial_kappas.shape})"
         )
-    scores = np.full(num_triangles, NO_VALID_K, dtype=np.int64)
     if num_triangles == 0:
-        return scores
+        return np.full(0, NO_VALID_K, dtype=np.int64)
+    if repair.unit_drop:
+        scores, rounds, repairs = _peel_rounds(index, initial_kappas, repair)
+        peel_span.annotate(rounds=rounds)
+    else:
+        scores, repairs = _peel_heap(index, initial_kappas, repair)
+    if obs_config._ENABLED:
+        _record_peel_metrics(repair, num_triangles, repairs, 0)
+    return scores
 
+
+def _peel_rounds(
+    index: CSRTriangleIndex,
+    initial_kappas: np.ndarray,
+    repair: KappaRepair,
+) -> tuple[np.ndarray, int, int]:
+    """Level-synchronous peel for unit-drop repairs.
+
+    Each round peels the whole frontier — every live triangle whose κ is at
+    most the level ``L`` (the largest minimum κ seen so far) — with score
+    ``L``, kills the live 4-cliques through it, and re-scores every live
+    triangle that lost a clique in one batched repair over its surviving
+    postings (dead postings enter the padded rows as probability 0).
+    Re-scored triangles at or below ``L`` form the next round's frontier;
+    when none remain the level rises to the new minimum κ.  Returns
+    ``(scores, rounds, re-scored rows)``.
+    """
+    indptr = index.tri_clique_indptr
+    values = index.tri_extension_probabilities
+    pair_cliques = index.tri_cliques
+    clique_members = index.clique_triangles
+    clique_positions = index.clique_pair_positions
+    pair_alive = np.ones(values.size, dtype=bool)
+    clique_alive = np.ones(index.num_cliques, dtype=bool)
+
+    # Peeled triangles park at a κ no level reaches, so the minimum over
+    # ``kappa`` is the minimum over the live triangles.
+    peeled = np.iinfo(np.int64).max
+    kappa = np.array(initial_kappas, dtype=np.int64)
+    scores = np.full(kappa.size, NO_VALID_K, dtype=np.int64)
+    level = NO_VALID_K
+    remaining = kappa.size
+    rounds = repairs = 0
+    while remaining:
+        level = max(level, int(kappa.min()))
+        frontier = np.flatnonzero(kappa <= level)
+        while frontier.size:
+            rounds += 1
+            scores[frontier] = level
+            kappa[frontier] = peeled
+            remaining -= frontier.size
+            cliques, _ = concatenated_rows(indptr, pair_cliques, frontier)
+            cliques = cliques[clique_alive[cliques]]
+            if cliques.size == 0:
+                break
+            clique_alive[cliques] = False
+            pair_alive[clique_positions[cliques].ravel()] = False
+            # Sorting keeps a round O(its cliques), not O(all triangles).
+            members = np.sort(clique_members[cliques].ravel())
+            affected = members[np.concatenate(([True], members[1:] != members[:-1]))]
+            affected = affected[kappa[affected] != peeled]
+            if affected.size == 0:
+                break
+            repairs += affected.size
+            repaired = np.empty(affected.size, dtype=np.int64)
+            for group, matrix, counts in padded_row_groups(
+                indptr, values, affected, pair_alive
+            ):
+                repaired[group] = repair.recompute_rows(affected[group], matrix, counts)
+            kappa[affected] = repaired
+            frontier = affected[repaired <= level]
+    return scores, rounds, repairs
+
+
+def _peel_heap(
+    index: CSRTriangleIndex,
+    initial_kappas: np.ndarray,
+    repair: KappaRepair,
+) -> tuple[np.ndarray, int]:
+    """Lazy-heap replay of the reference trajectory; returns ``(scores, repairs)``."""
+    num_triangles = index.num_triangles
     kappa: list[int] = initial_kappas.tolist()
     indptr: list[int] = index.tri_clique_indptr.tolist()
     pair_probabilities: list[float] = index.tri_extension_probabilities.tolist()
@@ -501,115 +628,20 @@ def _peel_kappa_scores(
 
     out: list[int] = [NO_VALID_K] * num_triangles
     recompute = repair.recompute
-
     repairs = 0
+    heap = LazyMinHeap((kappa[t], t) for t in range(num_triangles))
+    processed = [False] * num_triangles
 
-    if not repair.unit_drop:
-        # --- lazy min-heap: replay the reference trajectory exactly ------- #
-        heap = LazyMinHeap((kappa[t], t) for t in range(num_triangles))
-        processed = [False] * num_triangles
-
-        def current(m: int) -> int | None:
-            return None if processed[m] else kappa[m]
-
-        level = NO_VALID_K
-        while (entry := heap.pop(current)) is not None:
-            _, t = entry
-            if kappa[t] > level:
-                level = kappa[t]
-            out[t] = level
-            processed[t] = True
-            for j in range(indptr[t], indptr[t + 1]):
-                if not pair_alive[j]:
-                    continue
-                c = pair_cliques[j]
-                for pair_position in clique_positions[c]:
-                    pair_alive[pair_position] = False
-                for m in clique_members[c]:
-                    if m == t or processed[m]:
-                        continue
-                    if kappa[m] > level:
-                        repairs += 1
-                        new = recompute(m, surviving_of(m))
-                        if new < level:
-                            new = level
-                        kappa[m] = new
-                        heap.push(new, m)
-        scores[:] = out
-        if obs_config._ENABLED:
-            _record_peel_metrics(repair, num_triangles, repairs, 0)
-        return scores
-
-    # --- bucket queue ----------------------------------------------------- #
-    # Bucket of a triangle = κ + 1; repairs can push κ up to the largest
-    # support size, so size the bucket table for max(initial κ, max support).
-    max_support = max(indptr[i + 1] - indptr[i] for i in range(num_triangles))
-    num_buckets = max(max(kappa), max_support) + 2
-    counts = [0] * num_buckets
-    for value in kappa:
-        counts[value + 1] += 1
-    bucket_start = [0] * (num_buckets + 1)
-    for b in range(num_buckets):
-        bucket_start[b + 1] = bucket_start[b] + counts[b]
-    fill = list(bucket_start)
-    order = [0] * num_triangles
-    position = [0] * num_triangles
-    for t in range(num_triangles):
-        p = fill[kappa[t] + 1]
-        order[p] = t
-        position[t] = p
-        fill[kappa[t] + 1] = p + 1
-
-    def move(m: int, old: int, new: int) -> None:
-        """Re-key triangle ``m`` from bucket ``old + 1`` to ``new + 1``."""
-        if new < old:
-            for b in range(old + 1, new + 1, -1):
-                start = bucket_start[b]
-                displaced = order[start]
-                where = position[m]
-                order[where] = displaced
-                order[start] = m
-                position[displaced] = where
-                position[m] = start
-                bucket_start[b] = start + 1
-        else:
-            for b in range(old + 2, new + 2):
-                last = bucket_start[b] - 1
-                displaced = order[last]
-                where = position[m]
-                order[where] = displaced
-                order[last] = m
-                position[displaced] = where
-                position[m] = last
-                bucket_start[b] = last
+    def current(m: int) -> int | None:
+        return None if processed[m] else kappa[m]
 
     level = NO_VALID_K
-    deferrals = 0
-    dirty = [False] * num_triangles
-    for i in range(num_triangles):
-        # The queue holds lower bounds; settle the front before peeling: a
-        # dirty front triangle is recomputed exactly, and if its true κ
-        # exceeds the bound it moves right, pulling the next candidate into
-        # position ``i``.
-        t = order[i]
-        while dirty[t]:
-            dirty[t] = False
-            repairs += 1
-            exact = recompute(t, surviving_of(t))
-            if exact < level:
-                exact = level
-            if exact <= kappa[t]:
-                break
-            move(t, kappa[t], exact)
-            kappa[t] = exact
-            t = order[i]
+    while (entry := heap.pop(current)) is not None:
+        _, t = entry
         if kappa[t] > level:
             level = kappa[t]
         out[t] = level
-
-        # Every 4-clique through the peeled triangle dies; each affected
-        # triangle steps one bucket down per lost clique (unit-drop keeps
-        # the bound valid) and its exact κ is deferred to its own pop.
+        processed[t] = True
         for j in range(indptr[t], indptr[t + 1]):
             if not pair_alive[j]:
                 continue
@@ -617,17 +649,13 @@ def _peel_kappa_scores(
             for pair_position in clique_positions[c]:
                 pair_alive[pair_position] = False
             for m in clique_members[c]:
-                if m == t or position[m] <= i:
+                if m == t or processed[m]:
                     continue
-                old = kappa[m]
-                if old <= level:
-                    continue
-                deferrals += 1
-                move(m, old, old - 1)
-                kappa[m] = old - 1
-                dirty[m] = True
-
-    scores[:] = out
-    if obs_config._ENABLED:
-        _record_peel_metrics(repair, num_triangles, repairs, deferrals)
-    return scores
+                if kappa[m] > level:
+                    repairs += 1
+                    new = recompute(m, surviving_of(m))
+                    if new < level:
+                        new = level
+                    kappa[m] = new
+                    heap.push(new, m)
+    return np.asarray(out, dtype=np.int64), repairs

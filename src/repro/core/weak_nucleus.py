@@ -187,7 +187,7 @@ def weak_nucleus_decomposition(
     :func:`repro.core.global_nucleus.global_nucleus_decomposition`; the
     returned nuclei carry ``mode="weakly-global"``.  ``backend`` selects both
     the engine of the candidate-producing local decomposition (``"dict"`` or
-    ``"csr"``, the latter running the bucket-queue peel of
+    ``"csr"``, the latter running the array peel of
     :mod:`repro.core.peel` — see
     :func:`repro.core.local.local_nucleus_decomposition`) and the
     Monte-Carlo scorer: ``"dict"`` samples candidate worlds one at a time

@@ -24,7 +24,7 @@ dead items and refreshing stale entries::
         ...  # peel `item`, update neighbour scores, heap.push(...) as needed
 
 The array-native peel engine (:mod:`repro.core.peel`) does not use a heap at
-all — it replaces this pattern with an O(1)-decrease-key bucket queue — so
+all for the exact DP — it peels whole levels in batched rounds — so
 this helper intentionally lives outside :mod:`repro.core`, where the
 deterministic layer and the baselines can import it without cycles.
 """
