@@ -53,6 +53,7 @@ from repro.baselines import (
 from repro.core import (
     BinomialEstimator,
     DynamicProgrammingEstimator,
+    EngineOptions,
     HybridEstimator,
     HybridParameters,
     LocalNucleusDecomposition,
@@ -111,7 +112,8 @@ def decompose(
     :class:`LocalNucleusDecomposition`; ``"global"`` and ``"weak"`` (alias
     ``"weakly-global"``) require an explicit level ``k`` and return the list
     of :class:`ProbabilisticNucleus` at that level.  Remaining keyword
-    arguments are forwarded to the underlying entry point
+    arguments — including the engine knobs of :class:`EngineOptions` — are
+    forwarded to the underlying entry point
     (:func:`local_nucleus_decomposition`,
     :func:`global_nucleus_decomposition`,
     :func:`weak_nucleus_decomposition`).
@@ -152,6 +154,7 @@ __all__ = [
     "local_nucleus_decomposition",
     "global_nucleus_decomposition",
     "weak_nucleus_decomposition",
+    "EngineOptions",
     "LocalNucleusDecomposition",
     "ProbabilisticNucleus",
     # estimators

@@ -20,7 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
+from repro.core.options import EngineOptions, add_engine_arguments, engine_arguments
 from repro.exceptions import ReproError
 from repro.graph.io import parse_vertex, read_edge_list
 from repro.index import NucleusIndex, build_index
@@ -44,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="nucleus level (required for --mode global/weak)",
     )
-    build.add_argument("--backend", choices=("dict", "csr"), default="dict")
     build.add_argument("--seed", type=int, default=None, help="RNG seed for Monte-Carlo modes")
     build.add_argument(
         "--n-samples",
@@ -52,43 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="Monte-Carlo world count (default: Hoeffding bound)",
     )
-    build.add_argument(
-        "--sampling",
-        choices=("fixed", "adaptive"),
-        default="fixed",
-        help="Monte-Carlo strategy for --mode global/weak: fixed per-candidate "
-        "batches (default) or confidence-driven sequential early stopping "
-        "(requires --backend csr; recorded in the index header)",
-    )
-    build.add_argument(
-        "--confidence",
-        type=float,
-        default=0.95,
-        help="decision confidence of the adaptive sequential test (default: 0.95)",
-    )
-    build.add_argument(
-        "--n-worlds-max",
-        type=int,
-        default=None,
-        help="per-candidate world cap of the adaptive test "
-        "(default: twice the fixed budget)",
-    )
-    build.add_argument(
-        "--kernel",
-        choices=("numpy", "numba"),
-        default="numpy",
-        help="hot-loop implementation: portable numpy (default) or the "
-        "compiled kernels of the [kernels] extra (requires --backend csr; "
-        "falls back to numpy with a warning when numba is not installed)",
-    )
-    build.add_argument(
-        "--partitions",
-        type=int,
-        default=1,
-        help="edge partitions per candidate world sample for --mode "
-        "global/weak (default 1 = monolithic matrix; >1 bounds peak memory "
-        "by a single partition block, requires --backend csr)",
-    )
+    add_engine_arguments(build, backend="dict")
     build.add_argument(
         "--no-compress",
         action="store_true",
@@ -125,20 +90,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     graph = read_edge_list(args.graph)
-    kwargs: dict = {"backend": args.backend, "kernel": args.kernel}
-    if args.mode in ("global", "weak"):
-        kwargs.update(seed=args.seed, n_samples=args.n_samples)
-        kwargs.update(
-            sampling=args.sampling,
-            confidence=args.confidence,
-            n_worlds_max=args.n_worlds_max,
-            partitions=args.partitions,
-        )
-    elif args.partitions != 1:
+    if args.mode == "local" and args.partitions != 1:
         raise ReproError(
             "--partitions applies to --mode global/weak (the local peel "
             "never materializes a worlds matrix)"
         )
+    engine = EngineOptions(**engine_arguments(args))
+    if args.mode == "local":
+        kwargs = {"backend": engine.backend, "kernel": engine.kernel}
+    else:
+        kwargs = {**asdict(engine), "seed": args.seed, "n_samples": args.n_samples}
     index = build_index(graph, mode=args.mode, theta=args.theta, k=args.k, **kwargs)
     index.save(args.output, compress=not args.no_compress)
     print(
@@ -180,7 +141,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
         if "kernel_resolved" in params:
             print(f"kernel_resolved: {params['kernel_resolved']}")
         if index.mode != "local":
-            print(f"partitions: {params.get('partitions', 1)}")
+            # Local headers are not decoded: a CSR input records the backend
+            # it was asked for, which may be "dict" beside a compiled kernel.
+            engine = EngineOptions.from_header(params)
+            print(f"sampling: {engine.sampling}")
+            print(f"partitions: {engine.partitions}")
         print(f"params: {params}")
         print(f"cache: {_format_cache_stats(description['cache'])}")
     return 0

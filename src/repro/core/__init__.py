@@ -10,6 +10,9 @@ Public entry points:
   per-candidate Monte-Carlo scoring.
 * The support estimators of :mod:`repro.core.approximations` and the §5.3
   :class:`HybridEstimator`.
+* :class:`EngineOptions` — the engine knobs (backend, kernel, sampling,
+  shards, partitions), validated once and round-tripped through index
+  headers.
 * The array-native peel engine of :mod:`repro.core.peel`
   (:func:`peel_kappa_scores` + the :class:`KappaRepair` hooks), which every
   ``backend="csr"`` decomposition path runs on.
@@ -47,6 +50,7 @@ from repro.core.local import (
     local_nucleus_decomposition,
     triangle_existence_probability,
 )
+from repro.core.options import EngineOptions
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.core.support_dp import (
     NO_VALID_K,
@@ -62,6 +66,7 @@ from repro.core.weak_nucleus import (
 
 __all__ = [
     "BACKENDS",
+    "EngineOptions",
     "CSRTriangleIndex",
     "batched_initial_kappas",
     "build_triangle_extension_index",

@@ -28,7 +28,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.approximations import SupportEstimator
-from repro.core.local import BACKENDS, local_nucleus_decomposition
+from repro.core.local import local_nucleus_decomposition
+from repro.core.options import EngineOptions
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import (
     FourClique,
@@ -40,114 +41,19 @@ from repro.deterministic.cliques import (
 from repro.deterministic.nucleus import is_k_nucleus
 from repro.exceptions import InvalidParameterError
 from repro.graph.possible_worlds import sample_world
-from repro.kernels import resolve_kernel
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
-from repro.sampling.adaptive import (
-    DEFAULT_CHUNK_GROWTH,
-    DEFAULT_CHUNK_INITIAL,
-    DEFAULT_CONFIDENCE,
-    AdaptiveSettings,
-    adaptive_global_verify,
-    resolve_adaptive_settings,
-)
+from repro.sampling.adaptive import AdaptiveSettings, adaptive_global_verify
 from repro.sampling.monte_carlo import hoeffding_sample_size
 from repro.sampling.partitioned import partitioned_global_decision
 from repro.sampling.sharding import _require_positive_int
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
     WorldShardPool,
-    as_numpy_generator,
     count_needed,
     decide_global_counts,
 )
 
 __all__ = ["global_nucleus_decomposition", "candidate_closure", "union_of_nuclei"]
-
-
-def resolve_sampling_options(
-    backend: str,
-    n_jobs: int,
-    rng: "random.Random | np.random.Generator | None",
-    seed: int | None,
-    sampling: str = "fixed",
-    confidence: float = DEFAULT_CONFIDENCE,
-    n_worlds_max: int | None = None,
-    chunk_initial: int = DEFAULT_CHUNK_INITIAL,
-    chunk_growth: float = DEFAULT_CHUNK_GROWTH,
-    n_samples: int | None = None,
-    kernel: str = "numpy",
-    partitions: int = 1,
-) -> "tuple[random.Random | np.random.Generator, AdaptiveSettings | None, str]":
-    """Validate the sampling knobs shared by Algorithms 2 and 3.
-
-    Returns ``(engine_rng, adaptive_settings, resolved_kernel)``.  The engine RNG for the
-    selected backend is a :class:`random.Random` for the dict path (created
-    from ``seed`` when not supplied) or a numpy
-    :class:`~numpy.random.Generator` for the world-matrix path (a supplied
-    ``random.Random`` is converted deterministically, see
-    :func:`repro.sampling.world_matrix.as_numpy_generator`).  World sharding
-    (``n_jobs > 1``) only exists in the matrix engine.
-
-    ``adaptive_settings`` is ``None`` for ``sampling="fixed"`` and a
-    validated :class:`~repro.sampling.adaptive.AdaptiveSettings` for
-    ``sampling="adaptive"`` (which requires the world-matrix engine, i.e.
-    ``backend="csr"``).  ``resolved_kernel`` is ``kernel`` after the
-    numba-availability fallback of :func:`repro.kernels.resolve_kernel`
-    (``kernel="numba"`` requires ``backend="csr"``).  ``partitions > 1``
-    switches candidate verification to the partitioned sampler of
-    :mod:`repro.sampling.partitioned` — ``backend="csr"`` and
-    ``sampling="fixed"`` only, since the sequential test draws incremental
-    chunks the partitioned single-pass estimator cannot.  Out-of-range or
-    non-finite knobs raise
-    :class:`~repro.exceptions.InvalidParameterError` here, before any
-    sampling starts.
-    """
-    if backend not in BACKENDS:
-        raise InvalidParameterError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if n_jobs < 1:
-        raise InvalidParameterError(f"n_jobs must be >= 1, got {n_jobs}")
-    if n_jobs > 1 and backend != "csr":
-        raise InvalidParameterError(
-            'n_jobs > 1 requires backend="csr" (the dict engine samples world-by-world)'
-        )
-    settings = resolve_adaptive_settings(
-        sampling,
-        confidence=confidence,
-        n_worlds_max=n_worlds_max,
-        chunk_initial=chunk_initial,
-        chunk_growth=chunk_growth,
-        n_samples=n_samples,
-    )
-    if settings is not None and backend != "csr":
-        raise InvalidParameterError(
-            'sampling="adaptive" requires backend="csr" (the sequential test '
-            "runs on the world-matrix engine)"
-        )
-    if kernel != "numpy" and backend != "csr":
-        resolve_kernel(kernel, warn=False)  # surface unknown names first
-        raise InvalidParameterError(
-            f'kernel={kernel!r} requires backend="csr" (the dict engine has '
-            "no array loops to compile)"
-        )
-    _require_positive_int("partitions", partitions)
-    if partitions > 1 and backend != "csr":
-        raise InvalidParameterError(
-            'partitions > 1 requires backend="csr" (the partitioned sampler '
-            "runs on the world-matrix engine)"
-        )
-    if partitions > 1 and settings is not None:
-        raise InvalidParameterError(
-            'partitions > 1 requires sampling="fixed" (the sequential test '
-            "draws incremental chunks the partitioned estimator cannot)"
-        )
-    resolved_kernel = resolve_kernel(kernel)
-    if backend == "csr":
-        return as_numpy_generator(rng, seed), settings, resolved_kernel
-    if rng is None:
-        return random.Random(seed), settings, resolved_kernel
-    if isinstance(rng, np.random.Generator):
-        return random.Random(int(rng.integers(0, 2**63))), settings, resolved_kernel
-    return rng, settings, resolved_kernel
 
 
 def union_of_nuclei(nuclei: Sequence[ProbabilisticNucleus]) -> ProbabilisticGraph:
@@ -345,15 +251,7 @@ def global_nucleus_decomposition(
     local_result: LocalNucleusDecomposition | None = None,
     rng: "random.Random | np.random.Generator | None" = None,
     seed: int | None = None,
-    backend: str = "dict",
-    n_jobs: int = 1,
-    sampling: str = "fixed",
-    confidence: float = DEFAULT_CONFIDENCE,
-    n_worlds_max: int | None = None,
-    chunk_initial: int = DEFAULT_CHUNK_INITIAL,
-    chunk_growth: float = DEFAULT_CHUNK_GROWTH,
-    kernel: str = "numpy",
-    partitions: int = 1,
+    **engine,
 ) -> list[ProbabilisticNucleus]:
     """Find (approximate) g-(k, θ)-nuclei of ``graph`` via Algorithm 2.
 
@@ -375,41 +273,14 @@ def global_nucleus_decomposition(
         to avoid recomputing the pruning step.
     rng, seed:
         Source of randomness for the world sampling.  Runs are reproducible
-        for a fixed ``seed`` (or a seeded ``rng``) on both backends; each
-        backend consumes its own kind of stream, so the two backends draw
-        different (identically distributed) world samples.
-    backend:
-        ``"dict"`` (default) samples and verifies worlds one at a time on the
-        dict substrate; ``"csr"`` runs the local pruning on the array-native
-        peel engine (:mod:`repro.core.peel`, via
-        :func:`~repro.core.local.local_nucleus_decomposition`) and verifies
-        every candidate with the vectorized world-matrix sampler
-        (:mod:`repro.sampling.world_matrix`).
-    n_jobs:
-        Number of ``multiprocessing`` workers sharding each candidate's
-        world matrix (``backend="csr"`` only).  Results are identical for
-        every ``n_jobs`` value at a fixed seed because the matrix is sampled
-        before it is split.
-    sampling, confidence, n_worlds_max, chunk_initial, chunk_growth:
-        ``sampling="fixed"`` (default) draws exactly ``n_samples`` worlds
-        per candidate, bit-identical to previous releases.
-        ``sampling="adaptive"`` (``backend="csr"`` only) draws worlds in
-        geometric chunks and stops each candidate as soon as anytime-valid
-        confidence bounds settle its θ decision at level ``confidence``,
-        capped at ``n_worlds_max`` (default ``2 × n_samples``); see
-        :mod:`repro.sampling.adaptive`.
-    kernel:
-        ``"numpy"`` (default) or ``"numba"`` — compiled hot loops for the
-        local pruning peel and the world verification
-        (:mod:`repro.kernels`); ``backend="csr"`` only, falls back to numpy
-        (with a one-time warning) when numba is not installed.
-    partitions:
-        Number of contiguous edge partitions each candidate's world sample
-        is drawn in (default 1 = the monolithic matrix).  ``partitions > 1``
-        (``backend="csr"``, ``sampling="fixed"`` only) bounds peak memory by
-        a single ``(n_samples, num_edges / partitions)`` block — how
-        ``scale=large`` graphs whose matrices exceed RAM stay decomposable;
-        see :mod:`repro.sampling.partitioned`.
+        for a fixed ``seed`` (or a seeded ``rng``) on both backends.
+    **engine:
+        The engine knobs (``backend``, ``kernel``, ``sampling`` and its
+        adaptive settings, ``n_jobs``, ``partitions``) of
+        :class:`~repro.core.options.EngineOptions`.  They pick how the local
+        pruning runs and how each candidate is verified — one dict world at
+        a time, one world matrix, a sequential test, or partition blocks —
+        never what a g-(k, θ)-nucleus is.
 
     Returns
     -------
@@ -421,26 +292,17 @@ def global_nucleus_decomposition(
         raise InvalidParameterError(f"k must be non-negative, got {k}")
     if not 0.0 <= theta <= 1.0:
         raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
+    engine = EngineOptions(**engine)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
-    engine_rng, adaptive, kernel = resolve_sampling_options(
-        backend,
-        n_jobs,
-        rng,
-        seed,
-        sampling=sampling,
-        confidence=confidence,
-        n_worlds_max=n_worlds_max,
-        chunk_initial=chunk_initial,
-        chunk_growth=chunk_growth,
-        n_samples=n_samples,
-        kernel=kernel,
-        partitions=partitions,
-    )
+    _require_positive_int("n_samples", n_samples)
+    engine_rng = engine.rng(rng, seed)
+    adaptive = engine.adaptive(n_samples)
+    kernel = engine.resolved_kernel
 
     if local_result is None:
         local_result = local_nucleus_decomposition(
-            graph, theta, estimator=estimator, backend=backend, kernel=kernel
+            graph, theta, estimator=estimator, backend=engine.backend, kernel=kernel
         )
     local_nuclei = local_result.nuclei(k)
     if not local_nuclei:
@@ -452,7 +314,7 @@ def global_nucleus_decomposition(
     seen_candidates: set[frozenset[FourClique]] = set()
     seen_solutions: set[frozenset[Edge]] = set()
 
-    pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
+    pool = WorldShardPool(engine.n_jobs) if engine.n_jobs > 1 else None
     try:
         for seed_triangle in by_triangle:
             cliques = candidate_closure(candidate_graph, seed_triangle, k, by_triangle)
@@ -468,10 +330,10 @@ def global_nucleus_decomposition(
                 all_pass, triangles = _verify_candidate_adaptive(
                     subgraph, k, theta, adaptive, engine_rng, pool, kernel=kernel
                 )
-            elif backend == "csr":
+            elif engine.backend == "csr":
                 all_pass, triangles = _verify_candidate_matrix(
                     subgraph, k, theta, n_samples, engine_rng, pool,
-                    kernel=kernel, partitions=partitions,
+                    kernel=kernel, partitions=engine.partitions,
                 )
             else:
                 all_pass, triangles = _verify_candidate_dict(

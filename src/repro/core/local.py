@@ -47,8 +47,8 @@ from repro.core.batch import (
     build_triangle_extension_index,
 )
 from repro.core.hybrid import HybridEstimator
+from repro.core.options import BACKENDS, EngineOptions
 from repro.core.peel import EstimatorKappaRepair, peel_kappa_scores
-from repro.kernels import resolve_kernel
 from repro.core.result import LocalNucleusDecomposition
 from repro.core.support_dp import NO_VALID_K
 from repro.deterministic.cliques import (
@@ -61,8 +61,6 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.peeling import LazyMinHeap
-
-BACKENDS = ("dict", "csr")
 
 __all__ = [
     "BACKENDS",
@@ -84,6 +82,20 @@ def resolve_local_options(
     if not 0.0 <= theta <= 1.0:
         raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
     return DynamicProgrammingEstimator() if estimator is None else estimator
+
+
+def local_engine(
+    graph: ProbabilisticGraph | CSRProbabilisticGraph, backend: str, kernel: str
+) -> EngineOptions:
+    """Validate the local driver's ``backend`` / ``kernel`` keywords.
+
+    A :class:`~repro.graph.csr.CSRProbabilisticGraph` input runs the array
+    engine whatever backend it names, so with a compiled kernel it counts
+    as ``backend="csr"``.
+    """
+    if backend == "dict" and kernel != "numpy" and isinstance(graph, CSRProbabilisticGraph):
+        backend = "csr"
+    return EngineOptions(backend=backend, kernel=kernel)
 
 
 def triangle_existence_probability(graph: ProbabilisticGraph, triangle: Triangle) -> float:
@@ -302,17 +314,7 @@ def local_nucleus_decomposition(
     first, so the heap-based loop and the level-synchronous rounds agree
     exactly.
     """
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
-    if kernel != "numpy":
-        resolve_kernel(kernel, warn=False)  # validate the name up front
-        if backend != "csr" and not isinstance(graph, CSRProbabilisticGraph):
-            raise InvalidParameterError(
-                f'kernel={kernel!r} requires backend="csr"; the dict backend '
-                "has no array engine to compile"
-            )
+    local_engine(graph, backend, kernel)
     estimator = resolve_local_options(theta, estimator)
 
     if isinstance(graph, CSRProbabilisticGraph):

@@ -24,9 +24,8 @@ import random
 import numpy as np
 
 from repro.core.approximations import SupportEstimator
-from repro.core.global_nucleus import resolve_sampling_options
-from repro.sampling.partitioned import partitioned_weak_counts
 from repro.core.local import local_nucleus_decomposition
+from repro.core.options import EngineOptions
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import (
     Triangle,
@@ -41,14 +40,10 @@ from repro.deterministic.nucleus import (
 from repro.exceptions import InvalidParameterError
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.sampling.adaptive import (
-    DEFAULT_CHUNK_GROWTH,
-    DEFAULT_CHUNK_INITIAL,
-    DEFAULT_CONFIDENCE,
-    AdaptiveSettings,
-    adaptive_weak_scores,
-)
+from repro.sampling.adaptive import AdaptiveSettings, adaptive_weak_scores
 from repro.sampling.monte_carlo import hoeffding_sample_size
+from repro.sampling.partitioned import partitioned_weak_counts
+from repro.sampling.sharding import _require_positive_int
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
     WorldShardPool,
@@ -171,68 +166,40 @@ def weak_nucleus_decomposition(
     local_result: LocalNucleusDecomposition | None = None,
     rng: "random.Random | np.random.Generator | None" = None,
     seed: int | None = None,
-    backend: str = "dict",
-    n_jobs: int = 1,
-    sampling: str = "fixed",
-    confidence: float = DEFAULT_CONFIDENCE,
-    n_worlds_max: int | None = None,
-    chunk_initial: int = DEFAULT_CHUNK_INITIAL,
-    chunk_growth: float = DEFAULT_CHUNK_GROWTH,
-    kernel: str = "numpy",
-    partitions: int = 1,
+    **engine,
 ) -> list[ProbabilisticNucleus]:
     """Find (approximate) w-(k, θ)-nuclei of ``graph`` via Algorithm 3.
 
     Parameters mirror
     :func:`repro.core.global_nucleus.global_nucleus_decomposition`; the
-    returned nuclei carry ``mode="weakly-global"``.  ``backend`` selects both
-    the engine of the candidate-producing local decomposition (``"dict"`` or
-    ``"csr"``, the latter running the array peel of
-    :mod:`repro.core.peel` — see
-    :func:`repro.core.local.local_nucleus_decomposition`) and the
-    Monte-Carlo scorer: ``"dict"`` samples candidate worlds one at a time
-    (:func:`triangle_weak_scores`) while ``"csr"`` scores each candidate with
-    the vectorized world-matrix engine
-    (:func:`triangle_weak_scores_matrix`), optionally sharded across
-    ``n_jobs`` worker processes.  ``sampling="adaptive"`` (``backend="csr"``
-    only) replaces the fixed-``n_samples`` scorer with the sequential test of
-    :mod:`repro.sampling.adaptive`: each candidate keeps drawing geometric
-    world chunks until every triangle's θ decision is settled at level
-    ``confidence`` or ``n_worlds_max`` worlds are spent.  ``kernel`` and
-    ``partitions`` mirror
-    :func:`~repro.core.global_nucleus.global_nucleus_decomposition`:
-    compiled hot loops and partitioned (larger-than-RAM) candidate
-    sampling, both ``backend="csr"`` only.
+    returned nuclei carry ``mode="weakly-global"``.  The ``**engine`` knobs
+    of :class:`~repro.core.options.EngineOptions` pick the Monte-Carlo
+    scorer of each candidate: one dict world at a time
+    (:func:`triangle_weak_scores`), one world matrix
+    (:func:`triangle_weak_scores_matrix`, optionally sharded or partitioned),
+    or the sequential test of :mod:`repro.sampling.adaptive`, which keeps
+    drawing chunks until every triangle's θ decision is settled.
     """
     if k < 0:
         raise InvalidParameterError(f"k must be non-negative, got {k}")
     if not 0.0 <= theta <= 1.0:
         raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
+    engine = EngineOptions(**engine)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
-    engine_rng, adaptive, kernel = resolve_sampling_options(
-        backend,
-        n_jobs,
-        rng,
-        seed,
-        sampling=sampling,
-        confidence=confidence,
-        n_worlds_max=n_worlds_max,
-        chunk_initial=chunk_initial,
-        chunk_growth=chunk_growth,
-        n_samples=n_samples,
-        kernel=kernel,
-        partitions=partitions,
-    )
+    _require_positive_int("n_samples", n_samples)
+    engine_rng = engine.rng(rng, seed)
+    adaptive = engine.adaptive(n_samples)
+    kernel = engine.resolved_kernel
 
     if local_result is None:
         local_result = local_nucleus_decomposition(
-            graph, theta, estimator=estimator, backend=backend, kernel=kernel
+            graph, theta, estimator=estimator, backend=engine.backend, kernel=kernel
         )
     candidates = local_result.nuclei(k)
 
     solutions: list[ProbabilisticNucleus] = []
-    pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
+    pool = WorldShardPool(engine.n_jobs) if engine.n_jobs > 1 else None
     try:
         for candidate in candidates:
             subgraph = candidate.subgraph
@@ -240,10 +207,10 @@ def weak_nucleus_decomposition(
                 scores, qualifying = _qualifying_triangles_adaptive(
                     subgraph, k, theta, adaptive, engine_rng, pool=pool, kernel=kernel
                 )
-            elif backend == "csr":
+            elif engine.backend == "csr":
                 scores = triangle_weak_scores_matrix(
                     subgraph, k, n_samples, rng=engine_rng, pool=pool,
-                    kernel=kernel, partitions=partitions,
+                    kernel=kernel, partitions=engine.partitions,
                 )
                 qualifying = {t for t, score in scores.items() if score >= theta}
             else:

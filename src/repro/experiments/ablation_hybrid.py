@@ -112,8 +112,8 @@ def _run_cell(
             graph,
             theta,
             estimator=DynamicProgrammingEstimator(),
-            backend=config.backend,
-            kernel=config.kernel,
+            backend=config.engine.backend,
+            kernel=config.engine.kernel,
         )
     dp_seconds = dp_timer.seconds
 
@@ -124,8 +124,8 @@ def _run_cell(
         else:
             with timer() as t:
                 result = local_nucleus_decomposition(
-                    graph, theta, estimator=estimator, backend=config.backend,
-                    kernel=config.kernel,
+                    graph, theta, estimator=estimator, backend=config.engine.backend,
+                    kernel=config.engine.kernel,
                 )
             seconds = t.seconds
         total = len(exact.scores)

@@ -122,7 +122,7 @@ def _run_cell(
     graph = load_dataset(params["dataset"], config.scale)
     theta, n_samples, seed = params["theta"], params["n_samples"], params["seed"]
     local = cache.local(
-        graph, theta, backend="csr", dataset=params["dataset"], kernel=config.kernel
+        graph, theta, backend="csr", dataset=params["dataset"], kernel=config.engine.kernel
     )
     k = max(1, local.max_score)
     runners = {"global": global_nucleus_decomposition, "weak": weak_nucleus_decomposition}
@@ -145,7 +145,7 @@ def _run_cell(
                         graph, k=k, theta=theta, n_samples=n_samples,
                         local_result=local, seed=seed, backend="csr",
                         sampling="adaptive", confidence=confidence,
-                        n_worlds_max=config.n_worlds_max,
+                        n_worlds_max=config.engine.n_worlds_max,
                     )
                 after = _telemetry_state(algorithm)
                 candidates = after[0] - before[0]

@@ -92,10 +92,10 @@ def _run_cell(
     graph = load_dataset(params["dataset"], config.scale)
     theta = params["theta"]
     dp_seconds, dp_max = _time_decomposition(
-        graph, theta, DynamicProgrammingEstimator(), config.backend
+        graph, theta, DynamicProgrammingEstimator(), config.engine.backend
     )
     ap_seconds, ap_max = _time_decomposition(
-        graph, theta, HybridEstimator(), config.backend
+        graph, theta, HybridEstimator(), config.engine.backend
     )
     return [
         Figure4Row(

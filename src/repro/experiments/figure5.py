@@ -18,7 +18,7 @@ pipeline's decomposition cache.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
@@ -77,24 +77,22 @@ def _run_cell(
     graph = load_dataset(params["dataset"], config.scale)
     theta, n_samples, seed = params["theta"], params["n_samples"], params["seed"]
     local = cache.local(
-        graph, theta, backend=config.backend, dataset=params["dataset"],
-        kernel=config.kernel,
+        graph, theta, backend=config.engine.backend, dataset=params["dataset"],
+        kernel=config.engine.kernel,
     )
     k = max(1, local.max_score)
 
     with timer() as fg_timer:
         fg = global_nucleus_decomposition(
             graph, k=k, theta=theta, n_samples=n_samples,
-            local_result=local, seed=seed, backend=config.backend,
-            **config.sampling_kwargs(),
+            local_result=local, seed=seed, **asdict(config.engine),
         )
     fg_seconds = fg_timer.seconds
 
     with timer() as wg_timer:
         wg = weak_nucleus_decomposition(
             graph, k=k, theta=theta, n_samples=n_samples,
-            local_result=local, seed=seed, backend=config.backend,
-            **config.sampling_kwargs(),
+            local_result=local, seed=seed, **asdict(config.engine),
         )
     wg_seconds = wg_timer.seconds
 

@@ -73,8 +73,8 @@ def _run_cell(
         graph = load_dataset(params["dataset"], config.scale)
     theta = params["theta"]
     local = cache.local(
-        graph, theta, backend=config.backend, dataset=params.get("dataset"),
-        kernel=config.kernel,
+        graph, theta, backend=config.engine.backend, dataset=params.get("dataset"),
+        kernel=config.engine.kernel,
     )
     max_k = params.get("max_k")
     top = local.max_score if max_k is None else min(max_k, local.max_score)

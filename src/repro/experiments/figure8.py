@@ -15,7 +15,7 @@ invocation, this experiment reloads its snapshots instead of re-peeling.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
@@ -84,8 +84,8 @@ def _run_cell(
     graph = load_dataset(params["dataset"], config.scale)
     theta, n_samples, seed = params["theta"], params["n_samples"], params["seed"]
     local = cache.local(
-        graph, theta, backend=config.backend, dataset=params["dataset"],
-        kernel=config.kernel,
+        graph, theta, backend=config.engine.backend, dataset=params["dataset"],
+        kernel=config.engine.kernel,
     )
     max_k = max(1, local.max_score)
 
@@ -98,16 +98,14 @@ def _run_cell(
             n.subgraph
             for n in global_nucleus_decomposition(
                 graph, k=k, theta=theta, n_samples=n_samples,
-                local_result=local, seed=seed, backend=config.backend,
-                **config.sampling_kwargs(),
+                local_result=local, seed=seed, **asdict(config.engine),
             )
         )
         weak_subgraphs.extend(
             n.subgraph
             for n in weak_nucleus_decomposition(
                 graph, k=k, theta=theta, n_samples=n_samples,
-                local_result=local, seed=seed, backend=config.backend,
-                **config.sampling_kwargs(),
+                local_result=local, seed=seed, **asdict(config.engine),
             )
         )
 

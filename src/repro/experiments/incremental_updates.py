@@ -154,7 +154,7 @@ def _run_cell(
     edges = {
         tuple(sorted((u, v), key=repr)): p for u, v, p in graph.edges()
     }
-    index = build_local_index(graph, theta, backend=config.backend)
+    index = build_local_index(graph, theta, backend=config.engine.backend)
 
     rows: list[IncrementalUpdateRow] = []
     for batch in range(1, params["num_batches"] + 1):
@@ -170,7 +170,7 @@ def _run_cell(
         for label in labels:  # the vertex set is fixed under edge updates
             updated.add_vertex(label)
         with timer() as rebuild_timer:
-            rebuilt = build_local_index(updated, theta, backend=config.backend)
+            rebuilt = build_local_index(updated, theta, backend=config.engine.backend)
         rebuild_seconds = rebuild_timer.seconds
 
         parity = index.fingerprint == rebuilt.fingerprint and all(

@@ -35,11 +35,12 @@ import os
 import subprocess
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
+from repro.core.options import FLAG_KNOBS, EngineOptions
 from repro.exceptions import InvalidParameterError
 from repro.kernels import resolve_kernel
 from repro.obs import config as obs_config
@@ -48,7 +49,7 @@ from repro.obs.metrics import snapshot as obs_snapshot
 from repro.obs.spans import capture as obs_capture
 from repro.obs.spans import span
 from repro.obs.timing import timer
-from repro.sampling.adaptive import resolve_adaptive_settings
+from repro.sampling.sharding import _require_positive_int
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -66,9 +67,6 @@ __all__ = [
 #: Format marker written into every ``EXPERIMENTS_<name>.json`` artifact.
 ARTIFACT_FORMAT = "repro-experiments-artifact-v1"
 
-#: Backends accepted by :class:`RunConfig` (mirrors ``repro.core.local.BACKENDS``).
-_BACKENDS = ("dict", "csr")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -76,9 +74,6 @@ class RunConfig:
 
     Attributes
     ----------
-    backend:
-        Decomposition engine: ``"csr"`` (default — the array-native stack) or
-        ``"dict"`` (the seed-era reference path).
     scale:
         Dataset registry scale (``"tiny"`` or ``"small"``).
     seed:
@@ -87,7 +82,7 @@ class RunConfig:
         ``n_jobs`` and cell scheduling.
     n_jobs:
         Maximum number of grid cells executed concurrently (process pool).
-        ``1`` runs in-process.
+        ``1`` runs in-process.  Not the engine's world-shard ``n_jobs``.
     output_dir:
         When set, ``EXPERIMENTS_<name>.json`` artifacts are written here.
     use_cache / cache_dir:
@@ -97,26 +92,15 @@ class RunConfig:
     grid_filter:
         ``(key, value)`` pairs; a grid cell survives only if
         ``str(cell[key]) == value`` for every pair (the CLI's ``--filter``).
-    sampling / confidence / n_worlds_max:
-        Monte-Carlo strategy of the global/weakly-global cells:
-        ``sampling="fixed"`` (default) draws the legacy per-candidate batch,
-        ``sampling="adaptive"`` enables the sequential early-stopping engine
-        of :mod:`repro.sampling.adaptive` at the given ``confidence`` with a
-        per-candidate cap of ``n_worlds_max`` worlds (``None`` → twice the
-        cell's fixed budget).  Recorded in every artifact's config block.
-    kernel:
-        Hot-loop implementation: ``"numpy"`` (default) or ``"numba"`` — the
-        compiled peel / world-verification kernels of :mod:`repro.kernels`
-        (``backend="csr"`` only; falls back to numpy with a one-time warning
-        when numba is not installed).  The artifact config block records
-        both the request and the resolved value.
-    partitions:
-        Edge partitions per candidate world sample in global/weak cells
-        (default 1 = monolithic matrix; >1 requires ``backend="csr"`` and
-        ``sampling="fixed"``, see :mod:`repro.sampling.partitioned`).
+    engine:
+        The :class:`~repro.core.options.EngineOptions` every cell computes
+        with (default ``backend="csr"``, the array-native stack).  The knobs
+        ``backend``, ``sampling``, ``confidence``, ``n_worlds_max``,
+        ``kernel`` and ``partitions`` are also accepted as keywords, folded
+        into it, and readable as attributes; the artifact config block records
+        them, so every other engine knob must keep its default.
     """
 
-    backend: str = "csr"
     scale: str = "small"
     seed: int = 0
     n_jobs: int = 1
@@ -124,73 +108,28 @@ class RunConfig:
     use_cache: bool = True
     cache_dir: str | None = None
     grid_filter: tuple[tuple[str, str], ...] = ()
-    sampling: str = "fixed"
-    confidence: float = 0.95
-    n_worlds_max: int | None = None
-    kernel: str = "numpy"
-    partitions: int = 1
+    engine: EngineOptions = EngineOptions(backend="csr")
+    # Folded into ``engine`` by __post_init__, declared in FLAG_KNOBS order.
+    backend: InitVar[str | None] = None
+    sampling: InitVar[str | None] = None
+    confidence: InitVar[float | None] = None
+    n_worlds_max: InitVar[int | None] = None
+    kernel: InitVar[str | None] = None
+    partitions: InitVar[int | None] = None
 
-    def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
+    def __post_init__(self, *knobs) -> None:
+        _require_positive_int("n_jobs", self.n_jobs)
+        given = {name: value for name, value in zip(FLAG_KNOBS, knobs) if value is not None}
+        if given:
+            object.__setattr__(self, "engine", dataclasses.replace(self.engine, **given))
+        # Artifacts record these six knobs only; any other engine setting
+        # would change results under an unchanged config block.
+        recorded = EngineOptions(**{name: getattr(self.engine, name) for name in FLAG_KNOBS})
+        if self.engine != recorded:
             raise InvalidParameterError(
-                f"backend must be one of {_BACKENDS}, got {self.backend!r}"
+                f"RunConfig.engine may set only {', '.join(FLAG_KNOBS)} (the knobs "
+                f"artifacts record), got {self.engine}"
             )
-        if self.n_jobs < 1:
-            raise InvalidParameterError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        # Validate the sampling knobs eagerly (typed InvalidParameterError),
-        # and reject adaptive sampling on the dict engine up front rather
-        # than at the first global/weak cell.
-        resolve_adaptive_settings(
-            self.sampling,
-            confidence=self.confidence,
-            n_worlds_max=self.n_worlds_max,
-            n_samples=None,
-        )
-        if self.sampling == "adaptive" and self.backend != "csr":
-            raise InvalidParameterError(
-                'sampling="adaptive" requires backend="csr" (the sequential '
-                "test runs on the world-matrix engine)"
-            )
-        if self.kernel != "numpy":
-            resolve_kernel(self.kernel, warn=False)
-            if self.backend != "csr":
-                raise InvalidParameterError(
-                    f'kernel={self.kernel!r} requires backend="csr" (the dict '
-                    "engine has no array loops to compile)"
-                )
-        if not isinstance(self.partitions, int) or isinstance(self.partitions, bool) \
-                or self.partitions < 1:
-            raise InvalidParameterError(
-                f"partitions must be a positive integer, got {self.partitions!r}"
-            )
-        if self.partitions > 1:
-            if self.backend != "csr":
-                raise InvalidParameterError(
-                    'partitions > 1 requires backend="csr" (the partitioned '
-                    "sampler runs on the world-matrix engine)"
-                )
-            if self.sampling != "fixed":
-                raise InvalidParameterError(
-                    'partitions > 1 requires sampling="fixed" (the sequential '
-                    "test draws incremental chunks)"
-                )
-
-    def sampling_kwargs(self) -> dict:
-        """Keyword arguments for the decomposition drivers' sampling knobs.
-
-        Empty for ``sampling="fixed"`` so fixed-path calls stay byte-for-byte
-        identical to the pre-adaptive pipeline (golden parity).
-        """
-        kwargs: dict = {}
-        if self.sampling != "fixed":
-            kwargs.update(sampling=self.sampling, confidence=self.confidence)
-            if self.n_worlds_max is not None:
-                kwargs["n_worlds_max"] = self.n_worlds_max
-        if self.kernel != "numpy":
-            kwargs["kernel"] = self.kernel
-        if self.partitions != 1:
-            kwargs["partitions"] = self.partitions
-        return kwargs
 
     def matches(self, params: dict) -> bool:
         """Return ``True`` when ``params`` passes every ``grid_filter`` pair."""
@@ -198,6 +137,13 @@ class RunConfig:
             key in params and str(params[key]) == value
             for key, value in self.grid_filter
         )
+
+
+# Read-only views of the folded keywords, so ``config.backend`` and friends
+# return the engine's value instead of the InitVar default.
+for _name in FLAG_KNOBS:
+    setattr(RunConfig, _name, property(lambda self, name=_name: getattr(self.engine, name)))
+del _name
 
 
 @dataclass(frozen=True)
@@ -293,18 +239,18 @@ class ExperimentRun:
             "title": self.spec.title,
             "paper_reference": self.spec.paper_reference,
             "config": {
-                "backend": self.config.backend,
+                "backend": self.config.engine.backend,
                 "scale": self.config.scale,
                 "seed": self.config.seed,
                 "n_jobs": self.config.n_jobs,
                 "use_cache": self.config.use_cache,
                 "grid_filter": [list(pair) for pair in self.config.grid_filter],
-                "sampling": self.config.sampling,
-                "confidence": self.config.confidence,
-                "n_worlds_max": self.config.n_worlds_max,
-                "kernel": self.config.kernel,
-                "kernel_resolved": resolve_kernel(self.config.kernel, warn=False),
-                "partitions": self.config.partitions,
+                "sampling": self.config.engine.sampling,
+                "confidence": self.config.engine.confidence,
+                "n_worlds_max": self.config.engine.n_worlds_max,
+                "kernel": self.config.engine.kernel,
+                "kernel_resolved": resolve_kernel(self.config.engine.kernel, warn=False),
+                "partitions": self.config.engine.partitions,
             },
             "row_fields": row_fields,
             "num_rows": len(self.rows),

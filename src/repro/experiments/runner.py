@@ -24,6 +24,8 @@ from __future__ import annotations
 import argparse
 from collections.abc import Sequence
 
+from repro.core.options import EngineOptions, add_engine_arguments, engine_arguments
+from repro.exceptions import InvalidParameterError
 from repro.experiments.datasets import SCALES
 from repro.experiments.formatting import render_markdown
 from repro.experiments.pipeline import RunConfig, run_pipeline
@@ -72,12 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"experiment names ({', '.join(sorted(SPECS))}) or 'all'",
     )
     run.add_argument(
-        "--backend",
-        choices=("csr", "dict"),
-        default="csr",
-        help="decomposition engine (default: csr, the array-native stack)",
-    )
-    run.add_argument(
         "--scale",
         choices=SCALES,
         default="small",
@@ -124,45 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="output_format",
         help="report layout (plain reproduces the paper tables byte for byte)",
     )
-    run.add_argument(
-        "--sampling",
-        choices=("fixed", "adaptive"),
-        default="fixed",
-        help="Monte-Carlo strategy of the global/weak cells: fixed per-candidate "
-        "batches (default) or confidence-driven sequential early stopping",
-    )
-    run.add_argument(
-        "--confidence",
-        type=float,
-        default=0.95,
-        metavar="C",
-        help="decision confidence of the adaptive sequential test (default: 0.95)",
-    )
-    run.add_argument(
-        "--n-worlds-max",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-candidate world cap of the adaptive test "
-        "(default: twice the cell's fixed budget)",
-    )
-    run.add_argument(
-        "--kernel",
-        choices=("numpy", "numba"),
-        default="numpy",
-        help="hot-loop implementation: portable numpy (default) or the "
-        "compiled kernels of the [kernels] extra (falls back to numpy with "
-        "a warning when numba is not installed)",
-    )
-    run.add_argument(
-        "--partitions",
-        type=int,
-        default=1,
-        metavar="P",
-        help="edge partitions per candidate world sample in global/weak "
-        "cells (default 1 = monolithic matrix; >1 bounds peak memory by "
-        "one partition block)",
-    )
+    add_engine_arguments(run, backend="csr")
     return parser
 
 
@@ -188,21 +146,19 @@ def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     except ValueError as error:
         parser.error(str(error))  # raises SystemExit(2)
 
-    config = RunConfig(
-        backend=args.backend,
-        scale=args.scale,
-        seed=args.seed,
-        n_jobs=args.jobs,
-        output_dir=args.out,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        grid_filter=filters,
-        sampling=args.sampling,
-        confidence=args.confidence,
-        n_worlds_max=args.n_worlds_max,
-        kernel=args.kernel,
-        partitions=args.partitions,
-    )
+    try:
+        config = RunConfig(
+            scale=args.scale,
+            seed=args.seed,
+            n_jobs=args.jobs,
+            output_dir=args.out,
+            use_cache=not args.no_cache,
+            cache_dir=args.cache_dir,
+            grid_filter=filters,
+            engine=EngineOptions(**engine_arguments(args)),
+        )
+    except InvalidParameterError as error:
+        parser.error(str(error))  # raises SystemExit(2)
     runs = run_pipeline(names, config)
     for name in names:
         run = runs[name]

@@ -98,12 +98,12 @@ def _run_cell(
     graph = load_dataset(params["dataset"], config.scale)
     theta = params["theta"]
     dp = cache.local(
-        graph, theta, estimator=None, backend=config.backend,
-        dataset=params["dataset"], kernel=config.kernel,
+        graph, theta, estimator=None, backend=config.engine.backend,
+        dataset=params["dataset"], kernel=config.engine.kernel,
     )
     ap = cache.local(
-        graph, theta, estimator=HybridEstimator(), backend=config.backend,
-        dataset=params["dataset"], kernel=config.kernel,
+        graph, theta, estimator=HybridEstimator(), backend=config.engine.backend,
+        dataset=params["dataset"], kernel=config.engine.kernel,
     )
     total, average_error, percent = _score_comparison(dp, ap)
     return [

@@ -151,8 +151,8 @@ def _run_cell(
     graph = load_dataset(params["dataset"], config.scale)
     theta = params["theta"]
     local = cache.local(
-        graph, theta, backend=config.backend, dataset=params["dataset"],
-        kernel=config.kernel,
+        graph, theta, backend=config.engine.backend, dataset=params["dataset"],
+        kernel=config.engine.kernel,
     )
     row = decomposition_quality(graph, theta, local_result=local)
     return [

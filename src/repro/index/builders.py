@@ -19,6 +19,7 @@ on an already-computed result object.
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,11 +27,12 @@ from repro.core.approximations import SupportEstimator
 from repro.core.batch import CSRTriangleIndex
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.local import (
-    BACKENDS,
     _csr_engine_arrays,
+    local_engine,
     local_nucleus_decomposition,
     resolve_local_options,
 )
+from repro.core.options import EngineOptions
 from repro.core.result import LocalNucleusDecomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.deterministic.cliques import canonical_triangle
@@ -38,7 +40,6 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.nucleus_index import NucleusIndex
-from repro.kernels import resolve_kernel
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
@@ -212,55 +213,17 @@ def build_local_index(
     detour (pinned in ``tests/test_nucleus_index.py``).
     """
     if local_result is None:
-        if backend not in BACKENDS:
-            raise InvalidParameterError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
+        engine = local_engine(graph, backend, kernel)
         if backend == "csr" or isinstance(graph, CSRProbabilisticGraph):
-            params = {"backend": backend}
-            params.update(_engine_params(kernel))
-            return _build_local_index_csr(
-                graph, theta, estimator, params=params, kernel=kernel
-            )
+            # Record the backend the caller asked for, even when a CSR input
+            # with a compiled kernel validated as csr; a non-empty to_header()
+            # starts with "backend", so the key order stays backend-first.
+            params = {**engine.to_header(), "backend": backend}
+            return _build_local_index_csr(graph, theta, estimator, params, kernel=kernel)
         local_result = local_nucleus_decomposition(
             graph, theta, estimator=estimator, backend=backend, kernel=kernel
         )
     return NucleusIndex.from_local_result(local_result, params={"backend": backend})
-
-
-def _sampling_params(sampling: str, confidence: float, n_worlds_max: int | None) -> dict:
-    """The sampling-strategy block recorded into ``.npz`` param headers.
-
-    ``sampling="fixed"`` (the v1 layout) records nothing, so fixed-path
-    archives stay byte-identical to pre-adaptive builds and old archives
-    (which lack the keys entirely) read back as fixed.
-    """
-    if sampling == "fixed":
-        return {}
-    return {
-        "sampling": sampling,
-        "confidence": confidence,
-        "n_worlds_max": n_worlds_max,
-    }
-
-
-def _engine_params(kernel: str, partitions: int = 1) -> dict:
-    """The compute-engine block recorded into ``.npz`` param headers.
-
-    Same empty-at-defaults contract as :func:`_sampling_params`: the default
-    ``kernel="numpy"``/``partitions=1`` record nothing, keeping default-path
-    archives byte-identical to pre-kernel builds.  A non-default kernel
-    records both the request and what it resolved to on the building
-    machine (``kernel_resolved``), so an archive built with the numpy
-    fallback is distinguishable from one whose loops actually compiled.
-    """
-    params: dict = {}
-    if kernel != "numpy":
-        params["kernel"] = kernel
-        params["kernel_resolved"] = resolve_kernel(kernel, warn=False)
-    if partitions != 1:
-        params["partitions"] = partitions
-    return params
 
 
 def build_global_index(
@@ -271,35 +234,24 @@ def build_global_index(
     n_samples: int | None = None,
     rng: random.Random | np.random.Generator | None = None,
     seed: int | None = None,
-    sampling: str = "fixed",
-    confidence: float = 0.95,
-    n_worlds_max: int | None = None,
-    kernel: str = "numpy",
-    partitions: int = 1,
-    **kwargs,
+    epsilon: float = 0.1,
+    delta: float = 0.1,
+    estimator: SupportEstimator | None = None,
+    local_result: LocalNucleusDecomposition | None = None,
+    **engine,
 ) -> NucleusIndex:
-    """Run the global decomposition at ``k`` and index the verified nuclei."""
-    sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
-    engine_kwargs = _engine_params(kernel, partitions)
+    """Run the global decomposition at ``k`` and index the verified nuclei.
+
+    ``backend`` and the ``**engine`` keywords are
+    :class:`~repro.core.options.EngineOptions` knobs, recorded in the header.
+    """
+    engine = EngineOptions(backend=backend, **engine)
     nuclei = global_nucleus_decomposition(
-        graph,
-        k,
-        theta,
-        backend=backend,
-        n_samples=n_samples,
-        rng=rng,
-        seed=seed,
-        kernel=kernel,
-        partitions=partitions,
-        **sampling_kwargs,
-        **kwargs,
+        graph, k, theta, epsilon=epsilon, delta=delta, n_samples=n_samples,
+        estimator=estimator, local_result=local_result, rng=rng, seed=seed,
+        **asdict(engine),
     )
-    params = {"k": k, "backend": backend, "n_samples": n_samples, "seed": seed}
-    params.update(sampling_kwargs)
-    params.update(engine_kwargs)
-    return NucleusIndex.from_nuclei(
-        graph, nuclei, k=k, theta=theta, mode="global", params=params
-    )
+    return _sampled_index(graph, nuclei, k, theta, "global", engine, n_samples, seed)
 
 
 def build_weak_index(
@@ -310,35 +262,29 @@ def build_weak_index(
     n_samples: int | None = None,
     rng: random.Random | np.random.Generator | None = None,
     seed: int | None = None,
-    sampling: str = "fixed",
-    confidence: float = 0.95,
-    n_worlds_max: int | None = None,
-    kernel: str = "numpy",
-    partitions: int = 1,
-    **kwargs,
+    epsilon: float = 0.1,
+    delta: float = 0.1,
+    estimator: SupportEstimator | None = None,
+    local_result: LocalNucleusDecomposition | None = None,
+    **engine,
 ) -> NucleusIndex:
-    """Run the weakly-global decomposition at ``k`` and index the resulting nuclei."""
-    sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
-    engine_kwargs = _engine_params(kernel, partitions)
+    """Run the weakly-global decomposition at ``k`` and index the resulting nuclei.
+
+    Keywords as in :func:`build_global_index`.
+    """
+    engine = EngineOptions(backend=backend, **engine)
     nuclei = weak_nucleus_decomposition(
-        graph,
-        k,
-        theta,
-        backend=backend,
-        n_samples=n_samples,
-        rng=rng,
-        seed=seed,
-        kernel=kernel,
-        partitions=partitions,
-        **sampling_kwargs,
-        **kwargs,
+        graph, k, theta, epsilon=epsilon, delta=delta, n_samples=n_samples,
+        estimator=estimator, local_result=local_result, rng=rng, seed=seed,
+        **asdict(engine),
     )
-    params = {"k": k, "backend": backend, "n_samples": n_samples, "seed": seed}
-    params.update(sampling_kwargs)
-    params.update(engine_kwargs)
-    return NucleusIndex.from_nuclei(
-        graph, nuclei, k=k, theta=theta, mode="weakly-global", params=params
-    )
+    return _sampled_index(graph, nuclei, k, theta, "weakly-global", engine, n_samples, seed)
+
+
+def _sampled_index(graph, nuclei, k, theta, mode, engine, n_samples, seed) -> NucleusIndex:
+    params = {"k": k, "backend": engine.backend, "n_samples": n_samples, "seed": seed}
+    params.update(engine.to_header())
+    return NucleusIndex.from_nuclei(graph, nuclei, k=k, theta=theta, mode=mode, params=params)
 
 
 def local_result_from_index(

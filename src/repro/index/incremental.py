@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from repro.core.batch import (
     delta_triangle_extension_index,
 )
 from repro.core.hybrid import HybridEstimator
+from repro.core.options import EngineOptions
 from repro.core.peel import EstimatorKappaRepair, repair_kappa_scores
 from repro.deterministic.cliques import _members_of_sorted_mask
 from repro.exceptions import EdgeNotFoundError, InvalidParameterError
@@ -547,30 +548,24 @@ def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, adde
                 f"cannot rebuild a local index with unknown estimator {name!r}; "
                 "rebuild it explicitly with build_local_index"
             )
-        backend = str(params.get("backend", "csr"))
-        graph = new_csr if backend == "csr" else new_csr.to_probabilistic()
+        # A CSR graph input runs the array engine whatever backend the header
+        # names, and rebuilds every recorded backend to the same index.
         return build_local_index(
-            graph, index.theta, estimator=factory(), backend=backend
+            new_csr,
+            index.theta,
+            estimator=factory(),
+            backend=str(params.get("backend", "csr")),
+            kernel=str(params.get("kernel", "numpy")),
         )
     builder = build_global_index if index.mode == "global" else build_weak_index
-    sampling = str(params.get("sampling", "fixed"))
-    sampling_kwargs = {}
-    if sampling != "fixed":
-        # v2 headers record the adaptive knobs; v1 archives lack the keys
-        # entirely and rebuild on the fixed path exactly as before.
-        sampling_kwargs = {
-            "sampling": sampling,
-            "confidence": float(params.get("confidence", 0.95)),
-            "n_worlds_max": params.get("n_worlds_max"),
-        }
+    engine = EngineOptions.from_header(params)
     return builder(
         new_csr.to_probabilistic(),
         int(params["k"]),
         index.theta,
-        backend=str(params.get("backend", "dict")),
         n_samples=params.get("n_samples"),
         seed=params.get("seed"),
-        **sampling_kwargs,
+        **asdict(engine),
     )
 
 

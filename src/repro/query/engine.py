@@ -27,8 +27,6 @@ decomposition and inspecting its result objects would return (pinned by
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.core.result import ProbabilisticNucleus
@@ -76,32 +74,6 @@ def _seed_tuple(seeds) -> tuple:
     if _is_single_vertex(seeds):
         return (seeds,)
     return tuple(seeds)
-
-
-def _deprecated_batch_alias(name: str, replacement: str):
-    """A thin ``*_batch`` shim that warns and forwards to the unified method.
-
-    The unified methods accept scalar-or-array input directly; the old batch
-    names survive one deprecation cycle so existing callers keep working.
-    The forwarded argument is listified, so the alias always returns an
-    array exactly like the original batch method did.
-    """
-
-    def alias(self, vertices, *args, **kwargs):
-        warnings.warn(
-            f"NucleusQueryEngine.{name}() is deprecated; call "
-            f"NucleusQueryEngine.{replacement}() with an iterable of vertices instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self, replacement)(list(vertices), *args, **kwargs)
-
-    alias.__name__ = name
-    alias.__qualname__ = f"NucleusQueryEngine.{name}"
-    alias.__doc__ = (
-        f"Deprecated alias of :meth:`{replacement}` (always returns an array)."
-    )
-    return alias
 
 
 class NucleusQueryEngine:
@@ -336,14 +308,6 @@ class NucleusQueryEngine:
         if _is_single_vertex(vertices):
             return int(smallest[self._vertex_id(vertices)])
         return smallest[self._vertex_ids(vertices)]
-
-    # Deprecated scalar/batch split (PR 3); the unified methods above accept
-    # scalar-or-array input and return a matching shape.
-    max_score_batch = _deprecated_batch_alias("max_score_batch", "max_score")
-    contains_batch = _deprecated_batch_alias("contains_batch", "contains")
-    smallest_nucleus_batch = _deprecated_batch_alias(
-        "smallest_nucleus_batch", "smallest_nucleus"
-    )
 
     # ------------------------------------------------------------------ #
     # top-k nuclei

@@ -19,7 +19,6 @@ from repro.sampling.adaptive import (
     decision_radius,
     empirical_bernstein_radius,
     hoeffding_radius,
-    resolve_adaptive_settings,
     stage_delta,
 )
 from repro.sampling.monte_carlo import (
@@ -56,7 +55,6 @@ __all__ = [
     "decision_radius",
     "empirical_bernstein_radius",
     "hoeffding_radius",
-    "resolve_adaptive_settings",
     "stage_delta",
     "MonteCarloEstimate",
     "estimate_world_probability",

@@ -59,6 +59,8 @@ from repro.exceptions import InvalidParameterError
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.sampling.sharding import (
+    DEFAULT_CHUNK_GROWTH,
+    DEFAULT_CHUNK_INITIAL,
     _require_finite,
     _require_positive_int,
     chunk_schedule,
@@ -79,7 +81,6 @@ __all__ = [
     "DEFAULT_CHUNK_GROWTH",
     "AdaptiveSettings",
     "AdaptiveOutcome",
-    "resolve_adaptive_settings",
     "chunk_schedule",
     "stage_delta",
     "hoeffding_radius",
@@ -94,13 +95,6 @@ SAMPLING_MODES = ("fixed", "adaptive")
 
 #: Default decision confidence ``1 − δ`` of the sequential test.
 DEFAULT_CONFIDENCE = 0.95
-
-#: Default size of the first world chunk (re-exported from
-#: :mod:`repro.sampling.sharding`, the shared split-planning module).
-DEFAULT_CHUNK_INITIAL = 16
-
-#: Default geometric growth factor between consecutive chunks.
-DEFAULT_CHUNK_GROWTH = 2.0
 
 #: Power-of-two buckets for the worlds-per-candidate histogram (1 … 16384).
 WORLD_COUNT_BUCKETS: tuple[float, ...] = tuple(float(2**i) for i in range(15))
@@ -164,38 +158,6 @@ class AdaptiveOutcome:
     #: ``True`` when the confidence bounds settled the decision before the
     #: cap; ``False`` when the point estimate decided at ``n_worlds_max``.
     early_stop: bool
-
-
-def resolve_adaptive_settings(
-    sampling: str = "fixed",
-    confidence: float = DEFAULT_CONFIDENCE,
-    n_worlds_max: int | None = None,
-    chunk_initial: int = DEFAULT_CHUNK_INITIAL,
-    chunk_growth: float = DEFAULT_CHUNK_GROWTH,
-    n_samples: int | None = None,
-) -> AdaptiveSettings | None:
-    """Validate the sampling-strategy knobs; ``None`` means fixed-``n``.
-
-    ``n_worlds_max`` defaults to twice the fixed budget ``n_samples`` (hard
-    borderline candidates may spend *more* than the fixed path would), or
-    ``2 × 200`` when no fixed budget is known.  Raises
-    :class:`~repro.exceptions.InvalidParameterError` for an unknown
-    ``sampling`` mode or any non-finite / out-of-range knob, so bad values
-    fail here instead of deep inside the world-matrix engine.
-    """
-    if sampling not in SAMPLING_MODES:
-        raise InvalidParameterError(
-            f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}"
-        )
-    if n_worlds_max is None:
-        n_worlds_max = 2 * (n_samples if n_samples is not None else 200)
-    settings = AdaptiveSettings(
-        confidence=confidence,
-        n_worlds_max=n_worlds_max,
-        chunk_initial=chunk_initial,
-        chunk_growth=chunk_growth,
-    )
-    return settings if sampling == "adaptive" else None
 
 
 def stage_delta(delta: float, stage: int) -> float:

@@ -16,10 +16,8 @@ import numpy as np
 import pytest
 from graph_factories import small_er_graph
 
-from repro.core.global_nucleus import (
-    global_nucleus_decomposition,
-    resolve_sampling_options,
-)
+from repro.core.global_nucleus import global_nucleus_decomposition
+from repro.core.options import EngineOptions
 from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.exceptions import InvalidParameterError
 from repro.experiments.pipeline import RunConfig
@@ -37,7 +35,6 @@ from repro.sampling.adaptive import (
     decision_radius,
     empirical_bernstein_radius,
     hoeffding_radius,
-    resolve_adaptive_settings,
     stage_delta,
 )
 from repro.sampling.world_matrix import CandidateWorldIndex
@@ -140,25 +137,26 @@ class TestSettingsValidation:
     """Exact error-message pins: these strings are matched by callers."""
 
     def test_fixed_returns_none_adaptive_returns_settings(self):
-        assert resolve_adaptive_settings("fixed") is None
-        settings = resolve_adaptive_settings("adaptive")
+        assert EngineOptions().adaptive() is None
+        settings = EngineOptions(backend="csr", sampling="adaptive").adaptive()
         assert isinstance(settings, AdaptiveSettings)
         assert settings.confidence == 0.95
         assert settings.delta == pytest.approx(0.05)
 
     def test_cap_defaults_to_twice_the_fixed_budget(self):
-        assert resolve_adaptive_settings("adaptive").n_worlds_max == 400
-        assert resolve_adaptive_settings("adaptive", n_samples=50).n_worlds_max == 100
-        explicit = resolve_adaptive_settings("adaptive", n_worlds_max=64, n_samples=50)
-        assert explicit.n_worlds_max == 64
-        assert explicit.schedule() == chunk_schedule(64)
+        adaptive = EngineOptions(backend="csr", sampling="adaptive")
+        assert adaptive.adaptive().n_worlds_max == 400
+        assert adaptive.adaptive(n_samples=50).n_worlds_max == 100
+        explicit = EngineOptions(backend="csr", sampling="adaptive", n_worlds_max=64)
+        assert explicit.adaptive(n_samples=50).n_worlds_max == 64
+        assert explicit.adaptive().schedule() == chunk_schedule(64)
 
     def test_unknown_sampling_mode(self):
         with pytest.raises(
             InvalidParameterError,
             match=r"sampling must be one of \('fixed', 'adaptive'\), got 'bogus'",
         ):
-            resolve_adaptive_settings("bogus")
+            EngineOptions(sampling="bogus")
         assert SAMPLING_MODES == ("fixed", "adaptive")
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
@@ -167,64 +165,59 @@ class TestSettingsValidation:
             InvalidParameterError,
             match=rf"confidence must be a finite value in \(0, 1\), got {bad!r}",
         ):
-            resolve_adaptive_settings("adaptive", confidence=bad)
+            EngineOptions(backend="csr", sampling="adaptive", confidence=bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_confidence_must_be_finite(self, bad):
         with pytest.raises(InvalidParameterError, match="confidence must be a finite number"):
-            resolve_adaptive_settings("adaptive", confidence=bad)
+            EngineOptions(backend="csr", sampling="adaptive", confidence=bad)
 
     @pytest.mark.parametrize("bad", [0, -5, True, 2.5, "16"])
     def test_n_worlds_max_must_be_a_positive_int(self, bad):
         with pytest.raises(
             InvalidParameterError, match="n_worlds_max must be a positive integer"
         ):
-            resolve_adaptive_settings("adaptive", n_worlds_max=bad)
+            EngineOptions(backend="csr", sampling="adaptive", n_worlds_max=bad)
 
     def test_chunk_knob_validation(self):
         with pytest.raises(
             InvalidParameterError,
             match="chunk_initial must be a positive integer, got 0",
         ):
-            resolve_adaptive_settings("adaptive", chunk_initial=0)
+            EngineOptions(backend="csr", sampling="adaptive", chunk_initial=0)
         with pytest.raises(
             InvalidParameterError,
             match="chunk_growth must be a finite value >= 1, got 0.9",
         ):
-            resolve_adaptive_settings("adaptive", chunk_growth=0.9)
+            EngineOptions(backend="csr", sampling="adaptive", chunk_growth=0.9)
         with pytest.raises(
             InvalidParameterError, match="chunk_growth must be a finite number"
         ):
-            resolve_adaptive_settings("adaptive", chunk_growth=float("nan"))
+            EngineOptions(backend="csr", sampling="adaptive", chunk_growth=float("nan"))
 
     def test_fixed_mode_still_validates_the_knobs(self):
         # Bad knobs fail fast even when adaptive is off: a typo'd confidence
         # should never ride along silently.
         with pytest.raises(InvalidParameterError):
-            resolve_adaptive_settings("fixed", confidence=1.5)
+            EngineOptions(confidence=1.5)
 
     def test_adaptive_requires_the_csr_backend(self):
         with pytest.raises(
             InvalidParameterError,
             match='sampling="adaptive" requires backend="csr"',
         ):
-            resolve_sampling_options("dict", 1, None, 0, sampling="adaptive")
+            EngineOptions(backend="dict", sampling="adaptive")
 
     def test_run_config_rejects_adaptive_on_the_dict_backend(self):
         with pytest.raises(InvalidParameterError, match='requires backend="csr"'):
             RunConfig(backend="dict", sampling="adaptive")
 
-    def test_run_config_sampling_kwargs(self):
-        assert RunConfig().sampling_kwargs() == {}
-        assert RunConfig(sampling="adaptive", confidence=0.9).sampling_kwargs() == {
-            "sampling": "adaptive",
-            "confidence": 0.9,
-        }
-        assert RunConfig(sampling="adaptive", n_worlds_max=64).sampling_kwargs() == {
-            "sampling": "adaptive",
-            "confidence": 0.95,
-            "n_worlds_max": 64,
-        }
+    def test_run_config_folds_sampling_knobs_into_its_engine(self):
+        assert RunConfig().engine == EngineOptions(backend="csr")
+        config = RunConfig(sampling="adaptive", confidence=0.9)
+        assert config.engine == EngineOptions("csr", sampling="adaptive", confidence=0.9)
+        config = RunConfig(sampling="adaptive", n_worlds_max=64)
+        assert config.engine.adaptive(n_samples=10) == AdaptiveSettings(n_worlds_max=64)
 
 
 class TestAdaptiveGlobalVerify:

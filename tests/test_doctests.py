@@ -12,6 +12,7 @@ import doctest
 import pytest
 
 import repro
+import repro.core.options
 import repro.graph.csr
 import repro.graph.partition
 import repro.graph.probabilistic_graph
@@ -23,6 +24,7 @@ import repro.sampling.sharding
 
 MODULES = [
     repro,
+    repro.core.options,
     repro.graph.csr,
     repro.graph.partition,
     repro.graph.probabilistic_graph,

@@ -237,16 +237,15 @@ class TestRecording:
         with pytest.raises(InvalidParameterError):
             RunConfig(scale="tiny", backend="dict", kernel="numba")
 
-    def test_run_config_sampling_kwargs_default_empty_of_engine_knobs(self):
-        kwargs = RunConfig(scale="tiny", backend="csr").sampling_kwargs()
-        assert "kernel" not in kwargs
-        assert "partitions" not in kwargs
+    def test_run_config_engine_default_records_no_engine_knobs(self):
+        header = RunConfig(scale="tiny", backend="csr").engine.to_header()
+        assert "kernel" not in header
+        assert "partitions" not in header
 
     def test_run_config_threads_kernel_and_partitions(self):
         config = RunConfig(scale="tiny", backend="csr", kernel="numba", partitions=3)
-        kwargs = config.sampling_kwargs()
-        assert kwargs["kernel"] == "numba"
-        assert kwargs["partitions"] == 3
+        assert config.engine.kernel == "numba"
+        assert config.engine.partitions == 3
 
     def test_dispatch_counter_increments(self):
         csr = clique_graph(4, probability=0.9).to_csr()

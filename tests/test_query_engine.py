@@ -254,7 +254,7 @@ class TestErrors:
 
 
 # --------------------------------------------------------------------------- #
-# unified scalar-or-array surface + deprecated *_batch aliases
+# unified scalar-or-array surface
 # --------------------------------------------------------------------------- #
 class TestUnifiedSurface:
     def engine(self) -> NucleusQueryEngine:
@@ -276,23 +276,6 @@ class TestUnifiedSurface:
             assert isinstance(engine.max_score(vertex), int)
             assert engine.contains(vertex, k) is member
             assert engine.smallest_nucleus(vertex, k) == component
-
-    @pytest.mark.parametrize(
-        "alias, unified, extra",
-        [
-            ("max_score_batch", "max_score", ()),
-            ("contains_batch", "contains", (0,)),
-            ("smallest_nucleus_batch", "smallest_nucleus", (0,)),
-        ],
-    )
-    def test_deprecated_batch_aliases(self, alias, unified, extra):
-        engine = self.engine()
-        vertices = sorted(planted_graph().vertices())[:4]
-        with pytest.deprecated_call(match=f"{alias}.. is deprecated"):
-            from_alias = getattr(engine, alias)(vertices, *extra)
-        from_unified = getattr(engine, unified)(vertices, *extra)
-        assert isinstance(from_alias, np.ndarray)
-        assert np.array_equal(from_alias, from_unified)
 
 
 # --------------------------------------------------------------------------- #
