@@ -77,12 +77,13 @@ def legacy_csr_scores(csr: CSRProbabilisticGraph, theta: float, estimator) -> di
         plainly_sorted = False
     states = {}
     by_clique: dict = {}
+    offsets = index.indptr
     for i, (u, v, w) in enumerate(index.triangles):
         lu, lv, lw = labels[u], labels[v], labels[w]
         triangle = (lu, lv, lw) if plainly_sorted else canonical_triangle(lu, lv, lw)
         alive: dict = {}
-        extensions = index.extension_probabilities[i]
-        for position, z in enumerate(index.completing[i].tolist()):
+        extensions = index.values[offsets[i]:offsets[i + 1]]
+        for position, z in enumerate(index.tri_completing[offsets[i]:offsets[i + 1]].tolist()):
             lz = labels[z]
             if plainly_sorted:
                 if lz <= lu:

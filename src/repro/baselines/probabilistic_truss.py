@@ -15,16 +15,23 @@ for triangles carries over with the edge probability playing the role of the
 container probability.
 
 The decomposition peels edges of minimum probabilistic support and updates
-the affected edges, mirroring the deterministic truss peeling.
+the affected edges.  It is the (2, 3) member of the (r, s) family and runs
+on the same array peel engine as the nucleus, over an edge ⇄ triangle
+incidence built from the CSR triangle enumeration.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.approximations import DynamicProgrammingEstimator, SupportEstimator
+from repro.core.batch import PeelIncidence, batched_initial_kappas
+from repro.core.peel import EstimatorKappaRepair, peel_kappa_scores
 from repro.core.support_dp import NO_VALID_K
+from repro.deterministic.cliques import triangle_arrays_csr
 from repro.exceptions import InvalidParameterError
+from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
-from repro.peeling import LazyMinHeap
 
 __all__ = [
     "edge_triangle_probabilities",
@@ -34,9 +41,7 @@ __all__ = [
 ]
 
 
-def edge_triangle_probabilities(
-    graph: ProbabilisticGraph, u, v
-) -> tuple[float, list[float]]:
+def edge_triangle_probabilities(graph: ProbabilisticGraph, u, v) -> tuple[float, list[float]]:
     """Return ``(p(u, v), [Pr(triangle via w) for each common neighbor w])``."""
     edge_probability = graph.edge_probability(u, v)
     wedge_probabilities = [
@@ -46,6 +51,39 @@ def edge_triangle_probabilities(
     return edge_probability, wedge_probabilities
 
 
+def _edge_triangle_incidence(csr: CSRProbabilisticGraph) -> PeelIncidence:
+    """Return the (2, 3) edge ⇄ triangle incidence of ``csr``.
+
+    Rows are the undirected edges ``u < v`` in lexicographic order, with
+    container probability ``p(u, v)``; an edge's postings are its triangles
+    ordered by the third vertex ``w``, with pair value ``p(u, w)·p(v, w)``.
+    """
+    n = csr.num_vertices
+    edge_u, edge_v, p = csr.undirected_edge_arrays()
+    u, v, w = triangle_arrays_csr(csr)
+    edge_keys = edge_u * n + edge_v
+    e_uv = np.searchsorted(edge_keys, u * n + v)
+    e_uw = np.searchsorted(edge_keys, u * n + w)
+    e_vw = np.searchsorted(edge_keys, v * n + w)
+    rows = np.concatenate([e_uv, e_uw, e_vw])
+    third = np.concatenate([w, v, u])
+    values = np.concatenate([p[e_uw] * p[e_vw], p[e_uv] * p[e_vw], p[e_uv] * p[e_uw]])
+    order = np.lexsort((third, rows))
+    # rank[j] is where pre-sort pair j lands in the sorted pair arrays.
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    indptr = np.zeros(edge_u.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=edge_u.size), out=indptr[1:])
+    return PeelIncidence(
+        row_probabilities=p,
+        indptr=indptr,
+        values=values[order],
+        columns=np.tile(np.arange(u.size, dtype=np.int64), 3)[order],
+        column_rows=np.stack([e_uv, e_uw, e_vw], axis=1),
+        column_positions=rank.reshape(3, u.size).T.copy(),
+    )
+
+
 def probabilistic_truss_decomposition(
     graph: ProbabilisticGraph,
     gamma: float,
@@ -53,63 +91,30 @@ def probabilistic_truss_decomposition(
 ) -> dict[Edge, int]:
     """Return the local (k, γ)-truss number of every edge.
 
-    An edge whose own existence probability is below γ receives the sentinel
-    ``-1`` (it cannot belong to any (k, γ)-truss, not even at ``k = 0``).
+    Edges are peeled in non-decreasing order of residual support on the
+    shared peel engine (:func:`repro.core.peel.peel_kappa_scores`).  An edge
+    whose own existence probability is below γ receives the sentinel ``-1``
+    (it cannot belong to any (k, γ)-truss, not even at ``k = 0``).
+
+    >>> from repro.graph.generators import clique_graph
+    >>> truss = probabilistic_truss_decomposition(clique_graph(4, probability=1.0), 0.5)
+    >>> sorted(truss.values())
+    [2, 2, 2, 2, 2, 2]
     """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidParameterError(f"gamma must be in [0, 1], got {gamma}")
     estimator = estimator or DynamicProgrammingEstimator()
-
-    edge_probability: dict[Edge, float] = {}
-    # For each edge, map each common neighbor w to the wedge probability
-    # p(u, w) * p(v, w); the dict is mutated as neighbors are peeled away.
-    alive_wedges: dict[Edge, dict] = {}
-    for u, v, p in graph.edges():
-        edge = canonical_edge(u, v)
-        edge_probability[edge] = p
-        alive_wedges[edge] = {
-            w: graph.edge_probability(u, w) * graph.edge_probability(v, w)
-            for w in graph.common_neighbors(u, v)
-        }
-
-    kappa = {
-        edge: estimator.max_k(edge_probability[edge], list(wedge.values()), gamma)
-        for edge, wedge in alive_wedges.items()
+    csr = graph.to_csr()
+    incidence = _edge_triangle_incidence(csr)
+    kappas = batched_initial_kappas(incidence, gamma, estimator)
+    repair = EstimatorKappaRepair(estimator, incidence.row_probabilities, gamma)
+    scores = peel_kappa_scores(incidence, kappas, repair)
+    labels = csr.vertex_labels
+    edge_u, edge_v, _ = csr.undirected_edge_arrays()
+    return {
+        canonical_edge(labels[a], labels[b]): score
+        for a, b, score in zip(edge_u.tolist(), edge_v.tolist(), scores.tolist())
     }
-    heap = LazyMinHeap((score, edge) for edge, score in kappa.items())
-
-    adjacency: dict = {v: set(graph.neighbors(v)) for v in graph.vertices()}
-    truss: dict[Edge, int] = {}
-    processed: set[Edge] = set()
-    current_level = NO_VALID_K
-
-    def current(edge: Edge) -> int | None:
-        return None if edge in processed else kappa[edge]
-
-    while (entry := heap.pop(current)) is not None:
-        _, edge = entry
-        current_level = max(current_level, kappa[edge])
-        truss[edge] = current_level
-        processed.add(edge)
-
-        u, v = edge
-        adjacency[u].discard(v)
-        adjacency[v].discard(u)
-        for w in list(alive_wedges[edge]):
-            for other in (canonical_edge(u, w), canonical_edge(v, w)):
-                if other in processed or other not in alive_wedges:
-                    continue
-                removed_endpoint = v if other == canonical_edge(u, w) else u
-                alive_wedges[other].pop(removed_endpoint, None)
-                if kappa[other] > current_level:
-                    recomputed = estimator.max_k(
-                        edge_probability[other],
-                        list(alive_wedges[other].values()),
-                        gamma,
-                    )
-                    kappa[other] = max(recomputed, current_level)
-                    heap.push(kappa[other], other)
-    return truss
 
 
 def k_gamma_truss_subgraph(

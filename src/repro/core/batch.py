@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +60,7 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.csr import CSRProbabilisticGraph
 
 __all__ = [
+    "PeelIncidence",
     "CSRTriangleIndex",
     "build_triangle_extension_index",
     "delta_triangle_extension_index",
@@ -73,67 +73,67 @@ _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass
-class CSRTriangleIndex:
-    """Triangle ⇄ 4-clique incidence of a CSR graph, stored as flat arrays.
+class PeelIncidence:
+    """Row ⇄ column incidence of an (r, s) peel, stored as flat arrays.
 
-    Entry ``i`` describes triangle ``triangles[i] = (u, v, w)`` (sorted CSR
-    vertex ids, listed in lexicographic order) with existence probability
-    ``triangle_probabilities[i]``.  The triangle → 4-clique incidence is a
-    CSR-style postings structure: the half-open slice
-    ``tri_clique_indptr[i]:tri_clique_indptr[i + 1]`` of the three parallel
-    *pair arrays* holds, sorted by completing vertex,
+    Rows are the r-cliques the peel scores, columns the s-cliques whose
+    deaths lower those scores (vertices ⇄ edges for the core, edges ⇄
+    triangles for the truss, triangles ⇄ 4-cliques for the nucleus).  Row
+    ``i`` has container probability ``row_probabilities[i]`` and postings
+    ``indptr[i]:indptr[i + 1]`` into the parallel pair arrays ``values``
+    (the probability that the pair's column materialises given the row)
+    and ``columns`` (its column id).  Every column has the same number of
+    member rows, so the reverse incidence is dense: ``column_rows[c]`` lists
+    them and ``column_positions[c]`` the positions of their pairs — killing
+    a column is one fixed-width write, which the peel engine
+    (:mod:`repro.core.peel`) batches over a whole round.
+    """
 
-    ``tri_completing``
-        the completing vertex ``z`` of each 4-clique through the triangle,
-    ``tri_extension_probabilities``
-        the extension probability ``Pr(E_z) = p(u,z)·p(v,z)·p(w,z)``,
-    ``tri_cliques``
-        the row id of that 4-clique in the clique-level arrays.
+    row_probabilities: np.ndarray
+    indptr: np.ndarray
+    values: np.ndarray
+    columns: np.ndarray
+    column_rows: np.ndarray = field(repr=False)
+    column_positions: np.ndarray = field(repr=False)
 
-    The reverse incidence is dense because every 4-clique has exactly four
-    member triangles: ``clique_triangles[c]`` lists the four triangle rows of
-    clique ``c`` and ``clique_pair_positions[c]`` the positions of those four
-    (triangle, clique) pairs inside the pair arrays — so killing a clique is
-    four writes, which the peel engine (:mod:`repro.core.peel`) batches
-    over a whole round of peeled triangles.
+    @property
+    def num_rows(self) -> int:
+        """Number of peeled rows."""
+        return int(self.indptr.size) - 1
+
+    @property
+    def num_columns(self) -> int:
+        """Number of columns."""
+        return int(self.column_rows.shape[0])
+
+
+def _alias(name: str) -> property:
+    return property(lambda self: getattr(self, name), doc=f"Alias of ``{name}``.")
+
+
+@dataclass
+class CSRTriangleIndex(PeelIncidence):
+    """Triangle ⇄ 4-clique incidence of a CSR graph: the (3, 4) :class:`PeelIncidence`.
+
+    Row ``i`` is triangle ``triangles[i] = (u, v, w)`` (sorted CSR vertex
+    ids, rows in lexicographic order) with probability ``Pr(△)``.  Its
+    postings are the 4-cliques through it, sorted by completing vertex
+    ``z`` (``tri_completing``), with pair value ``Pr(E_z) =
+    p(u,z)·p(v,z)·p(w,z)``.  The triangle-named attributes alias the
+    generic incidence fields.
     """
 
     triangles: list[IntTriangle]
-    triangle_probabilities: np.ndarray
-    tri_clique_indptr: np.ndarray
     tri_completing: np.ndarray
-    tri_extension_probabilities: np.ndarray
-    tri_cliques: np.ndarray
-    clique_triangles: np.ndarray = field(repr=False)
-    clique_pair_positions: np.ndarray = field(repr=False)
 
-    @property
-    def num_triangles(self) -> int:
-        """Number of indexed triangles."""
-        return len(self.triangles)
-
-    @property
-    def num_cliques(self) -> int:
-        """Number of indexed 4-cliques."""
-        return int(self.clique_triangles.shape[0])
-
-    @cached_property
-    def completing(self) -> list[np.ndarray]:
-        """Per-triangle views of :attr:`tri_completing` (sorted id arrays)."""
-        offsets = self.tri_clique_indptr
-        return [
-            self.tri_completing[offsets[i]:offsets[i + 1]]
-            for i in range(self.num_triangles)
-        ]
-
-    @cached_property
-    def extension_probabilities(self) -> list[np.ndarray]:
-        """Per-triangle views of :attr:`tri_extension_probabilities`."""
-        offsets = self.tri_clique_indptr
-        return [
-            self.tri_extension_probabilities[offsets[i]:offsets[i + 1]]
-            for i in range(self.num_triangles)
-        ]
+    triangle_probabilities = _alias("row_probabilities")
+    tri_clique_indptr = _alias("indptr")
+    tri_extension_probabilities = _alias("values")
+    tri_cliques = _alias("columns")
+    clique_triangles = _alias("column_rows")
+    clique_pair_positions = _alias("column_positions")
+    num_triangles = _alias("num_rows")
+    num_cliques = _alias("num_columns")
 
 
 class _EdgeProbabilityLookup:
@@ -230,13 +230,13 @@ def _assemble_triangle_index(
     def _without_cliques(tri_probs: np.ndarray) -> CSRTriangleIndex:
         return CSRTriangleIndex(
             triangles=triangles,
-            triangle_probabilities=tri_probs,
-            tri_clique_indptr=np.zeros(num_triangles + 1, dtype=np.int64),
+            row_probabilities=tri_probs,
+            indptr=np.zeros(num_triangles + 1, dtype=np.int64),
             tri_completing=empty_int,
-            tri_extension_probabilities=empty_float,
-            tri_cliques=empty_int,
-            clique_triangles=np.empty((0, 4), dtype=np.int64),
-            clique_pair_positions=np.empty((0, 4), dtype=np.int64),
+            values=empty_float,
+            columns=empty_int,
+            column_rows=np.empty((0, 4), dtype=np.int64),
+            column_positions=np.empty((0, 4), dtype=np.int64),
         )
 
     if num_triangles == 0:
@@ -322,13 +322,13 @@ def _assemble_triangle_index(
     np.cumsum(counts, out=tri_clique_indptr[1:])
     return CSRTriangleIndex(
         triangles=triangles,
-        triangle_probabilities=tri_probs,
-        tri_clique_indptr=tri_clique_indptr,
+        row_probabilities=tri_probs,
+        indptr=tri_clique_indptr,
         tri_completing=completing_ids[order],
-        tri_extension_probabilities=extensions[order],
-        tri_cliques=clique_ids[order],
-        clique_triangles=clique_triangles,
-        clique_pair_positions=pair_rank.reshape(4, num_cliques).T.copy(),
+        values=extensions[order],
+        columns=clique_ids[order],
+        column_rows=clique_triangles,
+        column_positions=pair_rank.reshape(4, num_cliques).T.copy(),
     )
 
 
@@ -480,13 +480,13 @@ def _regather_probabilities(
         extensions_sorted[pair_rank] = extensions
     return CSRTriangleIndex(
         triangles=old_index.triangles,
-        triangle_probabilities=tri_probs,
-        tri_clique_indptr=old_index.tri_clique_indptr,
+        row_probabilities=tri_probs,
+        indptr=old_index.indptr,
         tri_completing=old_index.tri_completing,
-        tri_extension_probabilities=extensions_sorted,
-        tri_cliques=old_index.tri_cliques,
-        clique_triangles=old_index.clique_triangles,
-        clique_pair_positions=old_index.clique_pair_positions,
+        values=extensions_sorted,
+        columns=old_index.columns,
+        column_rows=old_index.column_rows,
+        column_positions=old_index.column_positions,
     )
 
 
@@ -634,7 +634,10 @@ def _dp_tails(matrix: np.ndarray) -> np.ndarray:
     the rows — and step ``j`` touches only columns ``0 … j + 1``, the ones
     that can carry mass.  Each update is the scalar recurrence's
     ``pmf[k]·(1 − p) + pmf[k − 1]·p``, so the tails are bit-identical to
-    :func:`~repro.core.support_dp.support_tail_probabilities`.
+    :func:`~repro.core.support_dp.support_tail_probabilities`, including
+    its exact certain prefix: ``Pr[ζ ≥ k]`` is 1.0 for every ``k`` up to
+    the row's number of certain (``p == 1.0``) entries.  Zero padding is
+    never certain.
     """
     m, c = matrix.shape
     columns = np.ascontiguousarray(matrix.T)
@@ -645,7 +648,10 @@ def _dp_tails(matrix: np.ndarray) -> np.ndarray:
         shifted = pmf[: j + 1] * p
         pmf[: j + 1] *= 1.0 - p
         pmf[1 : j + 2] += shifted
-    return _tails_from_pmf(pmf.T)
+    tails = _tails_from_pmf(pmf.T)
+    certain = np.count_nonzero(matrix == 1.0, axis=1)
+    tails[np.arange(c + 1) <= certain[:, None]] = 1.0
+    return tails
 
 
 def _poisson_tails_from_rates(rates: np.ndarray, count: int) -> np.ndarray:
@@ -879,46 +885,46 @@ def padded_row_groups(
 
 
 def batched_initial_kappas(
-    index: CSRTriangleIndex,
+    index: PeelIncidence,
     theta: float,
     estimator: SupportEstimator,
 ) -> np.ndarray:
-    """Compute the initial κ-score of every indexed triangle in vectorized batches.
+    """Compute the initial κ-score of every row of ``index`` in vectorized batches.
 
-    Triangles are grouped by support size ``c_△`` (:func:`padded_row_groups`
-    with ``pad=False``); each group's extension probabilities stack into a
-    dense ``(group, c_△)`` matrix evaluated by the estimator's vectorized
-    kernel in one shot.  The returned ``int64`` array
-    is parallel to ``index.triangles``.  For a
+    Rows are grouped by posting count (:func:`padded_row_groups` with
+    ``pad=False``); each group's pair values stack into a dense matrix
+    evaluated by the estimator's vectorized kernel in one shot, and a row's
+    κ is the largest ``k`` with ``row_probabilities[i]·Pr[ζ ≥ k] ≥ θ``.  The
+    returned ``int64`` array is parallel to the rows.  For a
     :class:`~repro.core.hybrid.HybridEstimator` the rows of a group are
     further partitioned by the §5.3 selection cascade (and
     ``estimator.selection_counts`` is updated accordingly); estimators without
     a registered kernel are evaluated with their scalar ``max_k`` per row.
     """
-    num_triangles = len(index.triangles)
-    kappas = np.empty(num_triangles, dtype=np.int64)
-    if num_triangles == 0:
+    num_rows = index.num_rows
+    kappas = np.empty(num_rows, dtype=np.int64)
+    if num_rows == 0:
         return kappas
 
-    tri_probs = index.triangle_probabilities
-    indptr = index.tri_clique_indptr
-    flat = index.tri_extension_probabilities
+    row_probs = index.row_probabilities
+    indptr = index.indptr
+    flat = index.values
 
     is_hybrid = isinstance(estimator, HybridEstimator)
     kernel = None if is_hybrid else _KERNELS.get(type(estimator))
     if kernel is None and not is_hybrid:
-        for i in range(num_triangles):
+        for i in range(num_rows):
             kappas[i] = estimator.max_k(
-                float(tri_probs[i]), flat[indptr[i]:indptr[i + 1]].tolist(), theta
+                float(row_probs[i]), flat[indptr[i]:indptr[i + 1]].tolist(), theta
             )
         return kappas
 
     # Exact widths: the tail kernels' arithmetic depends on the row length
     # (and the exact DP, padded, would pay for the padding on every row).
     for group, matrix, _ in padded_row_groups(
-        indptr, flat, np.arange(num_triangles), pad=False
+        indptr, flat, np.arange(num_rows), pad=False
     ):
-        group_probs = tri_probs[group]
+        group_probs = row_probs[group]
         if is_hybrid:
             for name, mask in _hybrid_partition(matrix, estimator).items():
                 estimator.selection_counts[name] += int(mask.sum())

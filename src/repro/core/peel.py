@@ -1,14 +1,18 @@
-"""Array-native peeling engine shared by the CSR decomposition paths.
+"""Array-native peeling engine shared by every probabilistic (r, s) decomposition.
 
 Algorithm 1's peel loop — "repeatedly remove an unprocessed triangle of
 minimum κ, kill every 4-clique through it, repair the κ-scores of the
 affected triangles" — runs here over flat arrays rather than per-triangle
-objects:
+objects, and the same loop peels every member of the (r, s) family the
+library ships:
 
-* the triangle ⇄ 4-clique incidence is the postings structure of
-  :class:`repro.core.batch.CSRTriangleIndex` — integer ids and parallel
-  float arrays, no ``Triangle``/``FourClique`` tuples, no per-triangle
-  dicts or dataclasses anywhere in the loop;
+* the r-clique ⇄ s-clique incidence is a
+  :class:`repro.core.batch.PeelIncidence` — integer ids and parallel float
+  arrays, no clique tuples, no per-row dicts or dataclasses anywhere in the
+  loop.  Its (3, 4) instance :class:`~repro.core.batch.CSRTriangleIndex`
+  serves the nucleus; the (k, η)-core (vertices ⇄ edges) and the
+  (k, γ)-truss (edges ⇄ triangles) of :mod:`repro.baselines` build the
+  (1, 2) and (2, 3) instances;
 * for *unit-drop* repairs (the exact DP oracle, whose κ never rises as
   cliques die) the peel is **level-synchronous**: each round removes every
   live triangle at or below the current level at once, kills their live
@@ -25,20 +29,20 @@ objects:
   support tail by sampling — so exact, approximate, and Monte-Carlo
   recomputation all plug into the same loop.
 
-The engine produces exactly the scores of the dict-backed reference loop:
-for the exact oracle the peel value of a triangle is the generalized-core
+The engine produces exactly the scores of the dict-backed reference loops:
+for the exact oracle the peel value of a row is the generalized-core
 number of a monotone local score function, independent of the order in
-which minimum triangles are peeled (so peeling a whole level per round
+which minimum rows are peeled (so peeling a whole level per round
 changes nothing), and zero-probability padding leaves every DP tail
 bit-identical; for the approximations the trajectory itself is replicated.
-The one exception is a θ on a floating-point rounding boundary, notably
-θ = 1, where the computed tail of a certain triangle can flip across θ as
-uncertain cliques die; there the exact DP is not monotone in floating
-point and peel orders can disagree (``docs/ARCHITECTURE.md``).
-The surviving extension probabilities are kept in the same
+θ = 1 is no exception: the exact DP sets ``Pr[ζ ≥ k]`` to exactly 1.0 up to
+the number of certain columns, so a certain row's tail cannot round below
+1 and flip across θ as uncertain columns die (``docs/ARCHITECTURE.md``).
+The surviving pair values are kept in posting order, the same
 (completing-vertex) order as the dict state on the CSR path.
-``tests/test_peel_engine.py`` and ``tests/test_backend_parity.py`` pin the
-parity on every fixture, estimator, and a randomized graph sweep.
+``tests/test_peel_engine.py``, ``tests/test_backend_parity.py`` and
+``tests/test_baseline_parity.py`` pin the parity on every fixture,
+estimator, and randomized graph sweeps.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import numpy as np
 from repro.core.approximations import DynamicProgrammingEstimator, SupportEstimator
 from repro.core.batch import (
     CSRTriangleIndex,
+    PeelIncidence,
     _dp_tails,
     _max_k_from_tails,
     padded_row_groups,
@@ -75,15 +80,15 @@ __all__ = [
 
 
 class KappaRepair(ABC):
-    """Strategy recomputing a triangle's κ-score from its surviving cliques.
+    """Strategy recomputing a row's κ-score from its surviving columns.
 
-    The peel loop calls :meth:`recompute` whenever a 4-clique through an
-    unprocessed triangle dies (or, for unit-drop repairs, when the triangle
-    reaches the queue front); implementations see only the triangle's row id
-    and the extension probabilities of its surviving 4-cliques (in completing-
-    vertex order), and return the repaired κ — the largest ``k`` for which the
-    triangle still satisfies the threshold condition, or
-    :data:`~repro.core.support_dp.NO_VALID_K`.
+    The peel loop calls :meth:`recompute` whenever a column through an
+    unprocessed row dies (a 4-clique through a triangle, for the nucleus);
+    implementations see only the row id and the pair values of its
+    surviving columns in posting order (for a triangle, the extension
+    probabilities in completing-vertex order), and return the repaired κ —
+    the largest ``k`` for which the row still satisfies the threshold
+    condition, or :data:`~repro.core.support_dp.NO_VALID_K`.
     """
 
     #: Short identifier used in logs and benchmark reports.
@@ -133,9 +138,11 @@ class EstimatorKappaRepair(KappaRepair):
 
     This is the hook the decomposition entry points install: it evaluates the
     same ``max_k`` the dict backend calls during its repairs, so the two
-    backends score identically.  For the exact DP, :meth:`recompute_rows`
-    runs the vectorized Equation-7 kernel of :mod:`repro.core.batch` over
-    the whole batch; its tails are bit-identical to the scalar DP's.
+    backends score identically.  ``triangle_probabilities`` holds the
+    container probability of every row (``Pr(△)`` for the nucleus).  For
+    the exact DP, :meth:`recompute_rows` runs the vectorized Equation-7
+    kernel of :mod:`repro.core.batch` over the whole batch; its tails are
+    bit-identical to the scalar DP's.
     """
 
     def __init__(
@@ -397,31 +404,48 @@ def repair_kappa_scores(
 
 
 def peel_kappa_scores(
-    index: CSRTriangleIndex,
+    index: PeelIncidence,
     initial_kappas: np.ndarray,
     repair: KappaRepair,
     kernel: str = "numpy",
 ) -> np.ndarray:
-    """Peel every triangle of ``index`` and return its nucleus score ν.
+    """Peel every row of ``index`` and return its score (the nucleus score ν).
 
     ``kernel="numba"`` dispatches to the compiled loops of
-    :mod:`repro.kernels.peel` when the repair supports them: the unit-drop
-    (exact-DP) bucket queue — bit-identical, the Poisson-binomial repair
-    stays in Python behind a per-repair callback — and the fully-jitted
-    Monte-Carlo lazy heap (distribution-identical; numba draws its own
-    variate stream).  Other repairs — the §5.3 approximated tails, whose
-    scores are trajectory-sensitive — always run the reference numpy loop,
-    as does everything when numba is not installed.
+    :mod:`repro.kernels.peel` (which take a
+    :class:`~repro.core.batch.CSRTriangleIndex`) when the repair supports
+    them: the unit-drop (exact-DP) bucket queue — bit-identical, the
+    Poisson-binomial repair stays in Python behind a per-repair callback —
+    and the fully-jitted Monte-Carlo lazy heap (distribution-identical;
+    numba draws its own variate stream).  Other repairs — the §5.3
+    approximated tails, whose scores are trajectory-sensitive — always run
+    the reference numpy loop, as does everything when numba is not
+    installed.
 
     When observability is on (``REPRO_OBS``), the run is wrapped in a
-    ``"peel"`` span (carrying the resolved ``kernel``, the ``queue``
-    discipline and, for the level-synchronous peel, its ``rounds``) and
-    feeds the ``repro_peel_*`` counters — triangles settled, rows
-    re-scored, and (compiled bucket queue only) unit-drop deferrals — with
-    the counts accumulated in loop-local integers so the disabled-mode
-    overhead stays within the CI-gated 3% of the uninstrumented loop (see
-    ``docs/OBSERVABILITY.md``).
+    ``"peel"`` span (carrying the number of ``rows``, the resolved
+    ``kernel``, the ``queue`` discipline and, for the level-synchronous
+    peel, its ``rounds``) and feeds the ``repro_peel_*`` counters — rows
+    settled, rows re-scored, and (compiled bucket queue only) unit-drop
+    deferrals — with the counts accumulated in loop-local integers so the
+    disabled-mode overhead stays within the CI-gated 3% of the
+    uninstrumented loop (see ``docs/OBSERVABILITY.md``).
+
+    On numpy, unit-drop repairs (the exact DP) run level-synchronous rounds
+    (:func:`_peel_rounds`) and every other repair replays the reference
+    loops' lazy-heap trajectory (:func:`_peel_heap`): the §5.3 tails are
+    not monotone under column deaths, so their scores depend on the exact
+    repair schedule.  Row order stands in for the reference loops'
+    canonical tie-breaking under the CSR relabelling.  Either way a score
+    is clamped to the running peel level, so levels are monotone along the
+    peel order.
     """
+    num_rows = index.num_rows
+    if initial_kappas.shape != (num_rows,):
+        raise InvalidParameterError(
+            "initial_kappas must be parallel to the index rows "
+            f"(expected shape ({num_rows},), got {initial_kappas.shape})"
+        )
     engine = resolve_kernel(kernel)
     if engine == "numba" and not (
         repair.unit_drop or isinstance(repair, MonteCarloKappaRepair)
@@ -433,44 +457,28 @@ def peel_kappa_scores(
         queue = "bucket" if engine == "numba" else "rounds"
     with span(
         "peel",
-        triangles=index.num_triangles,
+        rows=num_rows,
         repair=repair.name,
         queue=queue,
         kernel=engine,
     ) as peel_span:
         record_dispatch("peel", engine)
+        if num_rows == 0:
+            return np.full(0, NO_VALID_K, dtype=np.int64)
+        deferrals = 0
         if engine == "numba":
-            return _peel_kappa_scores_kernel(index, initial_kappas, repair)
-        return _peel_kappa_scores(index, initial_kappas, repair, peel_span)
+            from repro.kernels import peel as compiled
 
-
-def _peel_kappa_scores_kernel(
-    index: CSRTriangleIndex,
-    initial_kappas: np.ndarray,
-    repair: KappaRepair,
-) -> np.ndarray:
-    """Drive the compiled peel loops of :mod:`repro.kernels.peel`."""
-    num_triangles = index.num_triangles
-    if initial_kappas.shape != (num_triangles,):
-        raise InvalidParameterError(
-            "initial_kappas must be parallel to index.triangles "
-            f"(expected shape ({num_triangles},), got {initial_kappas.shape})"
-        )
-    if num_triangles == 0:
-        return np.full(0, NO_VALID_K, dtype=np.int64)
-    from repro.kernels import peel as kernel_peel
-
-    if repair.unit_drop:
-        scores, repairs, deferrals = kernel_peel.peel_unit_drop(
-            index, initial_kappas, repair
-        )
-    else:
-        scores, repairs, deferrals = kernel_peel.peel_monte_carlo(
-            index, initial_kappas, repair
-        )
-    if obs_config._ENABLED:
-        _record_peel_metrics(repair, num_triangles, repairs, deferrals)
-    return scores
+            run = compiled.peel_unit_drop if repair.unit_drop else compiled.peel_monte_carlo
+            scores, repairs, deferrals = run(index, initial_kappas, repair)
+        elif repair.unit_drop:
+            scores, rounds, repairs = _peel_rounds(index, initial_kappas, repair)
+            peel_span.annotate(rounds=rounds)
+        else:
+            scores, repairs = _peel_heap(index, initial_kappas, repair)
+        if obs_config._ENABLED:
+            _record_peel_metrics(repair, num_rows, repairs, deferrals)
+        return scores
 
 
 def _record_peel_metrics(repair: KappaRepair, pops: int, repairs: int, deferrals: int) -> None:
@@ -478,7 +486,7 @@ def _record_peel_metrics(repair: KappaRepair, pops: int, repairs: int, deferrals
     counter = obs_registry.counter
     counter(
         "repro_peel_pops_total",
-        "Triangles settled by the peel (rounds, bucket queue or lazy heap).",
+        "Rows settled by the peel (rounds, bucket queue or lazy heap).",
     ).inc(pops)
     counter(
         "repro_peel_repairs_total",
@@ -491,82 +499,32 @@ def _record_peel_metrics(repair: KappaRepair, pops: int, repairs: int, deferrals
     ).inc(deferrals)
 
 
-def _peel_kappa_scores(
-    index: CSRTriangleIndex,
-    initial_kappas: np.ndarray,
-    repair: KappaRepair,
-    peel_span: span,
-) -> np.ndarray:
-    """The peel loop itself (see :func:`peel_kappa_scores`).
-
-    Runs Algorithm 1's loop entirely over the flat incidence arrays of
-    ``index``: triangles are integer rows and 4-cliques are integer rows.
-    Two disciplines drive the loop, selected by the repair's
-    :attr:`~KappaRepair.unit_drop` capability:
-
-    * **Level-synchronous rounds** (unit-drop repairs, i.e. the exact DP
-      oracle; :func:`_peel_rounds`) — every triangle at or below the
-      current level is peeled at once and the affected triangles are
-      re-scored in one batched :meth:`~KappaRepair.recompute_rows` call per
-      round.  Scores of a monotone repair are peel-order independent, so
-      this reproduces the reference loop's output exactly.
-    * **Lazy min-heap** (everything else) — the §5.3 approximated tails
-      are not monotone under clique removal (a death can *raise* κ), which
-      makes the final scores sensitive to the exact pop/repair schedule.
-      The engine therefore replays the reference loop's trajectory
-      verbatim: a :class:`~repro.peeling.LazyMinHeap` over
-      ``(κ, triangle row)`` entries with per-death repairs and re-pushes —
-      row order coincides with canonical triangle order under the CSR
-      relabelling, so ties break exactly as in the dict backend.
-
-    Returns the ``int64`` score array parallel to ``index.triangles``; the
-    assigned scores are clamped to the running peel level exactly like the
-    reference loop, so levels are monotone along the peel order.
-    """
-    num_triangles = index.num_triangles
-    if initial_kappas.shape != (num_triangles,):
-        raise InvalidParameterError(
-            "initial_kappas must be parallel to index.triangles "
-            f"(expected shape ({num_triangles},), got {initial_kappas.shape})"
-        )
-    if num_triangles == 0:
-        return np.full(0, NO_VALID_K, dtype=np.int64)
-    if repair.unit_drop:
-        scores, rounds, repairs = _peel_rounds(index, initial_kappas, repair)
-        peel_span.annotate(rounds=rounds)
-    else:
-        scores, repairs = _peel_heap(index, initial_kappas, repair)
-    if obs_config._ENABLED:
-        _record_peel_metrics(repair, num_triangles, repairs, 0)
-    return scores
-
-
 def _peel_rounds(
-    index: CSRTriangleIndex,
+    index: PeelIncidence,
     initial_kappas: np.ndarray,
     repair: KappaRepair,
 ) -> tuple[np.ndarray, int, int]:
     """Level-synchronous peel for unit-drop repairs.
 
-    Each round peels the whole frontier — every live triangle whose κ is at
-    most the level ``L`` (the largest minimum κ seen so far) — with score
-    ``L``, kills the live 4-cliques through it, and re-scores every live
-    triangle that lost a clique in one batched repair over its surviving
-    postings (dead postings enter the padded rows as probability 0).
-    Re-scored triangles at or below ``L`` form the next round's frontier;
-    when none remain the level rises to the new minimum κ.  Returns
-    ``(scores, rounds, re-scored rows)``.
+    Each round peels the whole frontier — every live row whose κ is at most
+    the level ``L`` (the largest minimum κ seen so far) — with score ``L``,
+    kills the live columns through it, and re-scores every live row that
+    lost a column in one batched repair over its surviving postings (dead
+    postings enter the padded rows as probability 0).  Re-scored rows at or
+    below ``L`` form the next round's frontier; when none remain the level
+    rises to the new minimum κ.  Returns ``(scores, rounds, re-scored
+    rows)``.
     """
-    indptr = index.tri_clique_indptr
-    values = index.tri_extension_probabilities
-    pair_cliques = index.tri_cliques
-    clique_members = index.clique_triangles
-    clique_positions = index.clique_pair_positions
+    indptr = index.indptr
+    values = index.values
+    pair_columns = index.columns
+    column_rows = index.column_rows
+    column_positions = index.column_positions
     pair_alive = np.ones(values.size, dtype=bool)
-    clique_alive = np.ones(index.num_cliques, dtype=bool)
+    column_alive = np.ones(index.num_columns, dtype=bool)
 
-    # Peeled triangles park at a κ no level reaches, so the minimum over
-    # ``kappa`` is the minimum over the live triangles.
+    # Peeled rows park at a κ no level reaches, so the minimum over
+    # ``kappa`` is the minimum over the live rows.
     peeled = np.iinfo(np.int64).max
     kappa = np.array(initial_kappas, dtype=np.int64)
     scores = np.full(kappa.size, NO_VALID_K, dtype=np.int64)
@@ -581,14 +539,14 @@ def _peel_rounds(
             scores[frontier] = level
             kappa[frontier] = peeled
             remaining -= frontier.size
-            cliques, _ = concatenated_rows(indptr, pair_cliques, frontier)
-            cliques = cliques[clique_alive[cliques]]
-            if cliques.size == 0:
+            columns, _ = concatenated_rows(indptr, pair_columns, frontier)
+            columns = columns[column_alive[columns]]
+            if columns.size == 0:
                 break
-            clique_alive[cliques] = False
-            pair_alive[clique_positions[cliques].ravel()] = False
-            # Sorting keeps a round O(its cliques), not O(all triangles).
-            members = np.sort(clique_members[cliques].ravel())
+            column_alive[columns] = False
+            pair_alive[column_positions[columns].ravel()] = False
+            # Sorting keeps a round O(its columns), not O(all rows).
+            members = np.sort(column_rows[columns].ravel())
             affected = members[np.concatenate(([True], members[1:] != members[:-1]))]
             affected = affected[kappa[affected] != peeled]
             if affected.size == 0:
@@ -605,32 +563,28 @@ def _peel_rounds(
 
 
 def _peel_heap(
-    index: CSRTriangleIndex,
+    index: PeelIncidence,
     initial_kappas: np.ndarray,
     repair: KappaRepair,
 ) -> tuple[np.ndarray, int]:
     """Lazy-heap replay of the reference trajectory; returns ``(scores, repairs)``."""
-    num_triangles = index.num_triangles
+    num_rows = index.num_rows
     kappa: list[int] = initial_kappas.tolist()
-    indptr: list[int] = index.tri_clique_indptr.tolist()
-    pair_probabilities: list[float] = index.tri_extension_probabilities.tolist()
-    pair_alive: list[bool] = [True] * len(pair_probabilities)
-    clique_members: list[list[int]] = index.clique_triangles.tolist()
-    clique_positions: list[list[int]] = index.clique_pair_positions.tolist()
-    pair_cliques: list[int] = index.tri_cliques.tolist()
+    indptr: list[int] = index.indptr.tolist()
+    pair_values: list[float] = index.values.tolist()
+    pair_alive: list[bool] = [True] * len(pair_values)
+    column_rows: list[list[int]] = index.column_rows.tolist()
+    column_positions: list[list[int]] = index.column_positions.tolist()
+    pair_columns: list[int] = index.columns.tolist()
 
     def surviving_of(m: int) -> list[float]:
-        return [
-            pair_probabilities[p]
-            for p in range(indptr[m], indptr[m + 1])
-            if pair_alive[p]
-        ]
+        return [pair_values[p] for p in range(indptr[m], indptr[m + 1]) if pair_alive[p]]
 
-    out: list[int] = [NO_VALID_K] * num_triangles
+    out: list[int] = [NO_VALID_K] * num_rows
     recompute = repair.recompute
     repairs = 0
-    heap = LazyMinHeap((kappa[t], t) for t in range(num_triangles))
-    processed = [False] * num_triangles
+    heap = LazyMinHeap((kappa[t], t) for t in range(num_rows))
+    processed = [False] * num_rows
 
     def current(m: int) -> int | None:
         return None if processed[m] else kappa[m]
@@ -645,10 +599,10 @@ def _peel_heap(
         for j in range(indptr[t], indptr[t + 1]):
             if not pair_alive[j]:
                 continue
-            c = pair_cliques[j]
-            for pair_position in clique_positions[c]:
+            c = pair_columns[j]
+            for pair_position in column_positions[c]:
                 pair_alive[pair_position] = False
-            for m in clique_members[c]:
+            for m in column_rows[c]:
                 if m == t or processed[m]:
                     continue
                 if kappa[m] > level:

@@ -92,8 +92,15 @@ def support_tail_probabilities(clique_probabilities: Sequence[float]) -> list[fl
 
     ``clique_probabilities[i]`` is ``Pr(E_i)``, the probability that the
     ``i``-th completing vertex forms a 4-clique with the triangle.
+
+    ``Pr[ζ ≥ k]`` is exactly 1.0 for every ``k`` up to the number of certain
+    (``p == 1.0``) variables; the recurrence can round that mass a hair
+    below 1 (``0.9999999999999999``), so those tails are set exactly.
     """
-    return tail_from_pmf(poisson_binomial_pmf(clique_probabilities))
+    tails = tail_from_pmf(poisson_binomial_pmf(clique_probabilities))
+    certain = sum(1 for p in clique_probabilities if p == 1.0)
+    tails[: certain + 1] = [1.0] * (certain + 1)
+    return tails
 
 
 def max_k_at_threshold(

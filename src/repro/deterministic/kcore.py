@@ -7,9 +7,8 @@ framework this is the ``(1, 2)``-nucleus (r-cliques are vertices, s-cliques
 are edges).
 
 The implementation is the classic Batagelj–Zaveršnik peeling with a bucket
-queue, running in ``O(|V| + |E|)`` time.  It is used directly by the tests,
-by the probabilistic-core baseline for sanity checks, and by the weakly-global
-algorithm when it needs deterministic dense structure of sampled worlds.
+queue, running in ``O(|V| + |E|)`` time.  It is the certain-graph reference
+the tests compare the probabilistic (k, η)-core baseline against.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
-"""Shared lazy-deletion min-heap for the dict-backend peeling loops.
+"""Shared lazy-deletion min-heap for the heap-driven peeling loops.
 
-Every dict-backed decomposition in this library — deterministic (3,4)-nucleus
-and k-truss, probabilistic local nucleus, the (k, η)-core and (k, γ)-truss
-baselines, and the per-world projected peel of the sampling engine — follows
-the same skeleton: pop the minimum-score element, skip it if it was already
-processed, re-push it if its stored score went stale, otherwise peel it and
-update its neighbours.  Historically each loop re-implemented the
-stale-entry handling inline, and the five copies had started to drift (some
-compared with ``!=``, some with ``>``, some tracked an ``alive`` set, some a
-``processed`` set).
+The dict-backed loops — deterministic (3,4)-nucleus and k-truss, the
+probabilistic local nucleus's reference loop, and the per-world projected
+peel of the sampling engine — and the array engine's heap replay for
+non-monotone repairs (:mod:`repro.core.peel`) follow the same skeleton: pop
+the minimum-score element, skip it if it was already processed, re-push it
+if its stored score went stale, otherwise peel it and update its
+neighbours.  Historically each loop re-implemented the stale-entry handling
+inline, and the copies had started to drift (some compared with ``!=``,
+some with ``>``, some tracked an ``alive`` set, some a ``processed`` set).
 
 :class:`LazyMinHeap` centralises that protocol.  Callers describe their
 current state with a single callback and the heap takes care of skipping
@@ -23,10 +23,9 @@ dead items and refreshing stale entries::
         value, item = entry
         ...  # peel `item`, update neighbour scores, heap.push(...) as needed
 
-The array-native peel engine (:mod:`repro.core.peel`) does not use a heap at
-all for the exact DP — it peels whole levels in batched rounds — so
-this helper intentionally lives outside :mod:`repro.core`, where the
-deterministic layer and the baselines can import it without cycles.
+The array-native peel engine does not use a heap at all for the exact DP —
+it peels whole levels in batched rounds.  This helper lives outside
+:mod:`repro.core` so the deterministic layer can import it without cycles.
 """
 
 from __future__ import annotations

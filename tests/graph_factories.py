@@ -11,6 +11,8 @@ and whichever is imported first claims the name in ``sys.modules``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graph.generators import clique_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 
@@ -27,6 +29,20 @@ def small_er_graph(num_vertices=12, edge_fraction=0.5, *, seed=0, probabilities=
     if probabilities is not None:
         kwargs["probability_model"] = uniform_probability(*probabilities)
     return erdos_renyi_graph(num_vertices, edge_fraction, seed=seed, **kwargs)
+
+
+def mixed_certainty_graph(seed: int) -> ProbabilisticGraph:
+    """An Erdős–Rényi graph mixing certain (about 40%) and uncertain edges."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 30))
+    density = rng.uniform(0.2, 0.9)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                p = 1.0 if rng.random() < 0.4 else float(rng.uniform(0.05, 1.0))
+                edges.append((u, v, p))
+    return ProbabilisticGraph(edges)
 
 
 def bundled_graph(name="krogan", scale="tiny"):

@@ -29,7 +29,7 @@ from repro.core.weak_nucleus import (
 )
 from repro.deterministic.nucleus import is_k_nucleus
 from repro.exceptions import InvalidParameterError
-from graph_factories import small_er_graph
+from graph_factories import mixed_certainty_graph, small_er_graph
 from repro.graph.generators import clique_graph
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
@@ -99,6 +99,14 @@ class TestLocalParity:
         assert actual.scores == expected.scores
         # The result graph is expanded back to dict form for post-processing.
         assert actual.graph == paper_figure1_graph
+
+    def test_theta_one_on_mixed_certainty_graph(self):
+        # Backends used to disagree here: the dict heap and the batched
+        # peel saw a certain triangle's Pr[ζ ≥ 0] round to either side of 1.
+        graph = mixed_certainty_graph(116)
+        expected = local_nucleus_decomposition(graph, 1.0, backend="dict")
+        actual = local_nucleus_decomposition(graph, 1.0, backend="csr")
+        assert actual.scores == expected.scores
 
     def test_unknown_backend_rejected(self, triangle_graph):
         with pytest.raises(InvalidParameterError):

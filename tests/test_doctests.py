@@ -12,6 +12,8 @@ import doctest
 import pytest
 
 import repro
+import repro.baselines.probabilistic_core
+import repro.baselines.probabilistic_truss
 import repro.core.options
 import repro.graph.csr
 import repro.graph.partition
@@ -24,6 +26,8 @@ import repro.sampling.sharding
 
 MODULES = [
     repro,
+    repro.baselines.probabilistic_core,
+    repro.baselines.probabilistic_truss,
     repro.core.options,
     repro.graph.csr,
     repro.graph.partition,

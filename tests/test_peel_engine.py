@@ -52,6 +52,7 @@ from repro.kernels import force_interpreted
 from repro.obs import capture as obs_capture
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.peeling import LazyMinHeap
+from graph_factories import mixed_certainty_graph
 
 
 def engine_scores(graph: ProbabilisticGraph, theta: float, repair=None) -> dict:
@@ -351,12 +352,10 @@ class TestLevelSynchronousPeel:
 
     @pytest.mark.parametrize("certain_share, theta", [
         (0.4, 0.0), (0.4, 1e-12), (0.4, 0.3),
-        # At θ = 1 a certain triangle keeps k = 0 only while its floating-
-        # point tail Pr[ζ ≥ 0] rounds to exactly 1, which dropping an
-        # uncertain clique can flip either way: the DP is not monotone at
-        # that boundary, so peel orders may disagree there.  All-certain
-        # edges keep every tail exact.
-        (1.0, 1.0),
+        # At θ = 1 the score of a certain triangle rests on the DP's exact
+        # certain prefix: Pr[ζ ≥ k] = 1.0 up to its number of certain
+        # cliques, however the uncertain cliques' mass rounds.
+        (0.4, 1.0), (1.0, 1.0),
     ])
     def test_matches_dict_reference_loop(self, certain_share, theta):
         graph = planted_dense(certain_share)
@@ -515,20 +514,6 @@ class TestBatchedExactDP:
         assert repair.recompute_rows(rows, matrix, counts).tolist() == expected
 
 
-def _random_mixed_graph(seed: int) -> ProbabilisticGraph:
-    """An ER graph mixing certain and uncertain edges."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(6, 30))
-    density = rng.uniform(0.2, 0.9)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < density:
-                p = 1.0 if rng.random() < 0.4 else float(rng.uniform(0.05, 1.0))
-                edges.append((u, v, p))
-    return ProbabilisticGraph(edges)
-
-
 @pytest.mark.tier2
 class TestLevelSynchronousSweep:
     """Differential sweep: bundled datasets and random mixed graphs."""
@@ -543,11 +528,8 @@ class TestLevelSynchronousSweep:
 
     @pytest.mark.parametrize("seed", range(150))
     def test_random_mixed_graphs(self, seed):
-        graph = _random_mixed_graph(seed)
+        graph = mixed_certainty_graph(seed)
         for theta in (0.0, 1e-9, 0.05, 0.3, 0.7, 1.0):
             scores = engine_scores(graph, theta)
             assert scores == bucket_queue_scores(graph, theta), theta
-            if theta < 1.0:
-                # The dict heap's eager repair order can part ways with
-                # both batched peels at θ = 1 (see the dense-graph test).
-                assert scores == reference_scores(graph, theta), theta
+            assert scores == reference_scores(graph, theta), theta

@@ -87,6 +87,14 @@ class TestTails:
         tails = support_tail_probabilities([0.4, 0.6])
         assert tails[0] == pytest.approx(1.0)
 
+    def test_certain_prefix_is_exactly_one(self):
+        # Summed in this order the pmf reaches 0.9999999999999999, not 1.
+        uncertain = [0.416, 0.896, 0.088, 0.967, 0.512, 0.922, 0.838, 0.969]
+        assert support_tail_probabilities(uncertain)[0] == 1.0
+        tails = support_tail_probabilities([1.0, *uncertain, 1.0])
+        assert tails[:3] == [1.0, 1.0, 1.0]
+        assert tails[3] < 1.0
+
     @given(probabilities=probability_lists)
     @settings(max_examples=60, deadline=None)
     def test_tails_are_monotone_non_increasing(self, probabilities):
@@ -109,6 +117,13 @@ class TestMaxKAtThreshold:
     def test_no_cliques(self):
         assert max_k_at_threshold(0.9, [], 0.5) == 0
         assert max_k_at_threshold(0.4, [], 0.5) == NO_VALID_K
+
+    def test_rounding_cannot_undercut_the_no_clique_score(self):
+        # A triangle that qualifies at k = 0 with no cliques still does with
+        # some: κ must not rise as cliques die.
+        uncertain = [0.416, 0.896, 0.088, 0.967, 0.512, 0.922, 0.838, 0.969]
+        assert max_k_at_threshold(0.7, [], 0.7) == 0
+        assert max_k_at_threshold(0.7, uncertain, 0.7) == 0
 
     def test_paper_example1(self):
         """Example 1: triangle (1,3,5) in the 4-clique {1,2,3,5} has
